@@ -61,11 +61,21 @@ fn start_single_run(scenario: &Scenario) -> meryn_core::Platform {
     }
 }
 
+/// Writes `contents` to `path`, or exits 2 with a diagnostic naming the
+/// path and the OS error: an unwritable output path is a user-input
+/// problem, not a panic.
+fn write_or_exit(path: &std::path::Path, contents: impl AsRef<[u8]>, what: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: cannot write {what} {}: {e}", path.display());
+        std::process::exit(2);
+    }
+}
+
 fn write_run_report(report: &meryn_core::RunReport, json_path: Option<&str>, quiet: bool) {
     if let Some(path) = json_path {
         let mut json = serde_json::to_string_pretty(report).expect("report serializes");
         json.push('\n');
-        std::fs::write(path, json).expect("write run report JSON");
+        write_or_exit(path.as_ref(), json, "run report JSON");
         if !quiet {
             println!("wrote {path}");
         }
@@ -93,7 +103,7 @@ fn main() {
                 let Some(dir) = args.next() else { usage() };
                 for (stem, scenario) in catalog::shipped() {
                     let path = std::path::Path::new(&dir).join(format!("{stem}.json"));
-                    scenario.save(&path).expect("write shipped spec");
+                    write_or_exit(&path, scenario.to_json(), "shipped spec");
                     println!("wrote {}", path.display());
                 }
                 return;
@@ -158,10 +168,7 @@ fn main() {
         let cp = platform.checkpoint();
         let mut json = serde_json::to_string(&cp).expect("checkpoint serializes");
         json.push('\n');
-        if let Err(e) = std::fs::write(&cp_path, json) {
-            eprintln!("error: cannot write checkpoint {cp_path}: {e}");
-            std::process::exit(2);
-        }
+        write_or_exit(cp_path.as_ref(), json, "checkpoint");
         if !quiet {
             println!(
                 "checkpointed {} at t={} s ({}): {cp_path}",
@@ -209,7 +216,7 @@ fn main() {
             print!("{}", report.render());
         }
         if let Some(path) = json_path {
-            std::fs::write(&path, report.to_json()).expect("write bench JSON");
+            write_or_exit(path.as_ref(), report.to_json(), "bench JSON");
             if !quiet {
                 println!("\nwrote {path}");
             }
@@ -227,7 +234,7 @@ fn main() {
         print!("{}", report.render());
     }
     if let Some(path) = json_path {
-        std::fs::write(&path, report.to_json()).expect("write scenario report JSON");
+        write_or_exit(path.as_ref(), report.to_json(), "scenario report JSON");
         if !quiet {
             println!("\nwrote {path}");
         }

@@ -1,6 +1,7 @@
 //! Drives the `scenario` binary's failure paths: a missing, truncated
-//! or corrupt checkpoint handed to `--resume` must produce a clear
-//! diagnostic and exit code 2 — never a panic backtrace.
+//! or corrupt checkpoint handed to `--resume`, or an output path that
+//! cannot be written, must produce a clear diagnostic and exit code 2 —
+//! never a panic backtrace.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -78,4 +79,79 @@ fn checkpoint_to_unwritable_path_exits_2_with_diagnostic() {
         stderr.contains("cannot write checkpoint"),
         "diagnostic names the failure: {stderr}"
     );
+}
+
+/// Runs the bin with `args` after the spec and asserts it fails closed:
+/// exit 2, a diagnostic containing `needle` and the unwritable path,
+/// and no panic text.
+fn assert_unwritable_output_exits_2(stem: &str, args: &[&str], path: &str, needle: &str) {
+    let out = scenario_bin()
+        .arg(spec_path(stem))
+        .args(args)
+        .output()
+        .expect("spawn scenario bin");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "unwritable {path} → exit 2: {stderr}"
+    );
+    assert!(
+        stderr.contains(needle),
+        "diagnostic names the failure: {stderr}"
+    );
+    assert!(stderr.contains(path), "diagnostic names the path: {stderr}");
+    assert!(!stderr.contains("panicked"), "no panic text: {stderr}");
+}
+
+#[test]
+fn report_json_into_missing_dir_exits_2_with_diagnostic() {
+    let path = "/nonexistent-dir/report.json";
+    assert_unwritable_output_exits_2(
+        "report-json",
+        &["--quiet", "--json", path],
+        path,
+        "cannot write scenario report JSON",
+    );
+}
+
+#[test]
+fn bench_json_into_missing_dir_exits_2_with_diagnostic() {
+    let path = "/nonexistent-dir/bench.json";
+    assert_unwritable_output_exits_2(
+        "bench-json",
+        &["--quiet", "--bench", "--json", path],
+        path,
+        "cannot write bench JSON",
+    );
+}
+
+#[test]
+fn single_run_json_into_missing_dir_exits_2_with_diagnostic() {
+    let path = "/nonexistent-dir/single.json";
+    assert_unwritable_output_exits_2(
+        "single-json",
+        &["--quiet", "--single", "--json", path],
+        path,
+        "cannot write run report JSON",
+    );
+}
+
+#[test]
+fn emit_shipped_into_missing_dir_exits_2_with_diagnostic() {
+    let out = scenario_bin()
+        .args(["--emit-shipped", "/nonexistent-dir"])
+        .output()
+        .expect("spawn scenario bin");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "unwritable spec dir → exit 2: {stderr}"
+    );
+    assert!(
+        stderr.contains("cannot write shipped spec /nonexistent-dir/"),
+        "diagnostic names the failure and path: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic text: {stderr}");
 }

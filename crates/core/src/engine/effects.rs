@@ -5,9 +5,9 @@
 //! everything it wants from the shared world is emitted as an
 //! [`Effect`] tagged with an [`EffectKey`]. The executor applies the
 //! collected effects of one time step sequentially in canonical
-//! `(due, vc_id, seq)` order — so however the per-shard processing was
-//! scheduled across worker threads, the fabric always observes one and
-//! the same mutation sequence. The property test
+//! `(due, vc_id, seq)` order — so whatever order the shards were
+//! processed in, the fabric always observes one and the same mutation
+//! sequence: the global schedule order. The property test
 //! `crates/core/tests/effect_order.rs` pins this down: any emission
 //! interleaving of a fixed effect set, canonically ordered, produces
 //! identical ledger and pool states.
@@ -227,10 +227,11 @@ pub struct SequencedEffect {
 /// currently being handled.
 ///
 /// Keys in one sink are nondecreasing (a shard handles its slice of a
-/// batch in global seq order); the executor merges the per-shard sinks
-/// of one time step with a stable sort on [`EffectKey`], which both
-/// restores the cross-shard `(due, seq)` schedule order and preserves
-/// each event's emission order.
+/// batch in global seq order); the executor appends every shard's sink
+/// of one time step to one buffer and, when the run spans shards,
+/// merges it with a stable sort on [`EffectKey`], which both restores
+/// the cross-shard `(due, seq)` schedule order and preserves each
+/// event's emission order.
 #[derive(Debug)]
 pub struct EffectSink {
     key: EffectKey,
@@ -243,11 +244,10 @@ impl EffectSink {
         Self::with_buffer(due, vc, seq, Vec::new())
     }
 
-    /// Like [`EffectSink::new`], but collecting into a recycled buffer
-    /// (the executor pools these to keep the batch loop allocation-free
-    /// in steady state).
+    /// Like [`EffectSink::new`], but appending to an existing buffer
+    /// (the executor gathers every shard of a run into one recycled
+    /// buffer, keeping the batch loop allocation-free in steady state).
     pub fn with_buffer(due: SimTime, vc: VcId, seq: u64, buf: Vec<SequencedEffect>) -> Self {
-        debug_assert!(buf.is_empty(), "recycled sink buffers arrive cleared");
         EffectSink {
             key: EffectKey { due, vc, seq },
             items: buf,
@@ -268,8 +268,8 @@ impl EffectSink {
         });
     }
 
-    /// The collected effects, emission order (== canonical order within
-    /// one shard's slice of a batch).
+    /// The buffer, with this sink's effects appended in emission order
+    /// (== canonical order within one shard's slice of a batch).
     pub fn into_effects(self) -> Vec<SequencedEffect> {
         self.items
     }

@@ -26,27 +26,34 @@
 //! draw sequence never depends on another VC's traffic.
 //!
 //! Per time step the executor drains the maximal run of same-instant
-//! shard events up to the next control event, groups it by shard,
-//! processes the groups — **in parallel through the rayon shim when the
-//! run spans shards and is big enough to pay for the fan-out** — and
-//! then applies the collected [`Effect`]s sequentially in canonical
-//! `(due, vc_id, seq)`-keyed order: a stable sort on the keys, whose
-//! globally-unique `seq` makes the application order the exact global
-//! schedule order the pre-shard monolith walked.
+//! shard events up to the next control event, shard by shard, and
+//! processes each shard's slice as soon as it is drained, appending the
+//! slice's [`Effect`]s to one gather buffer. The effects then apply
+//! sequentially in canonical `(due, vc_id, seq)`-keyed order. A single
+//! shard's buffer is already in that order; a run spanning shards is
+//! merged by a stable sort on the keys, whose globally-unique `seq`
+//! makes the application order the exact global schedule order the
+//! pre-shard monolith walked.
 //!
-//! Thread-count independence is structural: shard groups share no
-//! state, group processing is deterministic per shard, and the
-//! canonical effect order never depends on which worker finished
-//! first. The batched loop is likewise equivalent to the
-//! one-event-at-a-time [`ShardExecutor::step`] path for report-mode
-//! deployments: shard handlers read no fabric state and no state that
-//! effect application writes, so deferring a run's effects to its
-//! barrier and replaying them in schedule order produces the identical
-//! mutation sequence. Under
+//! The shard slices are processed sequentially on purpose. They used
+//! to be fanned out to worker threads, but on hyperscale-ci (2-core
+//! host) the per-run thread drive cost about 490 µs against about
+//! 28 µs of shard work, and the migrated shard state slowed the merge
+//! that followed; the fan-out is gone (README, "The sharded engine").
+//! Replica-level parallelism lives in `meryn_scenario::sweep`.
+//!
+//! Shard groups share no state, group processing is deterministic per
+//! shard, and the canonical effect order does not depend on the order
+//! the shards were processed in. The batched loop is likewise
+//! equivalent to the one-event-at-a-time [`ShardExecutor::step`] path
+//! for report-mode deployments: shard handlers read no fabric state
+//! and no state that effect application writes, so deferring a run's
+//! effects to its barrier and replaying them in schedule order
+//! produces the identical mutation sequence. Under
 //! [`crate::config::ViolationPolicy::EscalateToCloud`] the barrier
 //! semantics are authoritative: an [`Effect::Escalate`] applies at its
-//! canonical position in the run's effect stream — still identical at
-//! every thread count — while the single-step path applies it
+//! canonical position in the run's effect stream, while the
+//! single-step path applies it
 //! immediately after its event, which can resolve a same-instant
 //! escalation/dispatch race for one job differently. [`Effect::Place`]
 //! needs no such caveat: every latency the placement might consume
@@ -64,7 +71,6 @@ use meryn_sla::pricing::PricingParams;
 use meryn_sla::Money;
 use meryn_vmm::{CloudId, ImageRegistry, Location, PrivatePool, PublicCloud, VmId};
 use meryn_workloads::Submission;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::app::Application;
@@ -82,16 +88,6 @@ use crate::ids::{AppId, Placement, VcId};
 use crate::policy::{self, BiddingPolicy, PlacementPolicy};
 use crate::protocol::{select_resources, Decision, ProtocolParams};
 use crate::report::{AggregateReport, AppRecord, ReportMode, RunReport};
-
-/// One shard's drained slice of a same-instant run: `(seq, event)`
-/// pairs in global seq order.
-type RunSlice = Vec<(u64, Event)>;
-
-/// Minimum number of same-instant shard events (across ≥ 2 shards)
-/// before a run is fanned out to worker threads. Below this the scoped
-/// thread spawn costs more than the work; the sequential path walks the
-/// identical per-shard groups, so results do not depend on the gate.
-const PARALLEL_RUN_MIN_EVENTS: usize = 24;
 
 /// Base of the per-shard latency stream ids: shard `i` draws from
 /// `SimRng::stream_seed(cfg.seed, SHARD_STREAM_BASE + i)`. The high
@@ -134,13 +130,12 @@ pub struct ShardExecutor {
     next_app: u64,
     /// Recycled scratch for fabric-apply follow-up events.
     scratch_out: Vec<(SimTime, Event)>,
-    /// Recycled per-shard event-run buffers (the batch loop's inputs).
-    event_bufs: Vec<RunSlice>,
-    /// Recycled effect buffers (the batch loop's outputs).
-    effect_bufs: Vec<Vec<SequencedEffect>>,
-    /// Recycled merge buffer for one batch's canonical effect stream.
+    /// Recycled buffer for one shard's slice of a run.
+    event_buf: Vec<(u64, Event)>,
+    /// Recycled buffer for one run's effects, every shard's appended.
     effect_gather: Vec<SequencedEffect>,
-    /// Same-instant runs wide enough to fan out to worker threads.
+    /// Same-instant runs spanning two or more shards, whose effects
+    /// the canonical key sort merged.
     parallel_runs: u64,
     /// Aggregate tallies; `Some` exactly under
     /// [`ReportMode::Aggregate`], where completed applications fold in
@@ -453,8 +448,7 @@ impl ShardExecutor {
             app_vc: Vec::new(),
             next_app: 0,
             scratch_out: Vec::new(),
-            event_bufs: Vec::new(),
-            effect_bufs: Vec::new(),
+            event_buf: Vec::new(),
             effect_gather: Vec::new(),
             parallel_runs: 0,
             aggregate: None,
@@ -524,8 +518,8 @@ impl ShardExecutor {
         self.control.events_processed() + self.control_extra_ticks
     }
 
-    /// Same-instant cross-shard runs wide enough to be fanned out to
-    /// worker threads so far.
+    /// Same-instant runs so far that spanned two or more shards, whose
+    /// effects the canonical key sort merged.
     pub fn parallel_runs(&self) -> u64 {
         self.parallel_runs
     }
@@ -705,17 +699,17 @@ impl ShardExecutor {
         } else {
             let shard = idx - 1;
             let (_, seq, ev) = self.shards[shard].queue.pop_keyed().expect("peeked");
-            let mut events = self.event_bufs.pop().unwrap_or_default();
+            let mut events = std::mem::take(&mut self.event_buf);
             events.push((seq, ev));
-            let effects_buf = self.effect_bufs.pop().unwrap_or_default();
-            let (events, effects) = self.shards[shard].process(t, events, effects_buf);
-            self.event_bufs.push(events);
+            let effects = std::mem::take(&mut self.effect_gather);
+            let (events, effects) = self.shards[shard].process(t, events, effects);
+            self.event_buf = events;
             self.apply_effects(effects);
         }
         true
     }
 
-    /// Drains all queues: the batched, shard-parallel production loop.
+    /// Drains all queues: the batched production loop.
     pub fn run_to_completion(&mut self) {
         self.run_until(SimTime::MAX);
     }
@@ -759,10 +753,11 @@ impl ShardExecutor {
                 .filter(|&(due, _)| due == t)
                 .map(|(_, seq)| seq)
                 .unwrap_or(u64::MAX);
-            let mut total = 0usize;
-            let mut work: Vec<(&mut VcShard, RunSlice, Vec<SequencedEffect>)> = Vec::new();
+            let mut events = std::mem::take(&mut self.event_buf);
+            let mut gathered = std::mem::take(&mut self.effect_gather);
+            debug_assert!(gathered.is_empty());
+            let mut shards_in_run = 0usize;
             for shard in &mut self.shards {
-                let mut events = self.event_bufs.pop().unwrap_or_default();
                 while let Some((due, seq)) = shard.queue.peek_key() {
                     if due != t || seq >= barrier {
                         break;
@@ -770,72 +765,41 @@ impl ShardExecutor {
                     let (_, seq, ev) = shard.queue.pop_keyed().expect("peeked");
                     events.push((seq, ev));
                 }
-                if events.is_empty() {
-                    self.event_bufs.push(events);
-                } else {
-                    total += events.len();
-                    let effects = self.effect_bufs.pop().unwrap_or_default();
-                    work.push((shard, events, effects));
+                if !events.is_empty() {
+                    shards_in_run += 1;
+                    (events, gathered) = shard.process(t, events, gathered);
                 }
             }
-            debug_assert!(total > 0, "a shard peeked ready but drained nothing");
-            // Single-shard fast path (the common case: scattered job
-            // completions and per-app submits): one shard's effect
-            // buffer is already in canonical key order — `due` is fixed
-            // at `t`, seqs arrive nondecreasing and the vc is constant —
-            // so skip the merge machinery and apply it directly.
-            if work.len() == 1 {
-                let (shard, events, effects) = work.pop().expect("length checked");
-                let (events, effects) = shard.process(t, events, effects);
-                debug_assert!(effects.is_sorted_by_key(|e| e.key));
-                self.event_bufs.push(events);
-                self.apply_effects(effects);
-                continue;
-            }
-            // Process the groups — concurrently when the run is wide
-            // enough to pay for the fan-out. Either path computes the
-            // identical per-shard effect buffers.
-            let results: Vec<(RunSlice, Vec<SequencedEffect>)> = if total >= PARALLEL_RUN_MIN_EVENTS
-            {
+            debug_assert!(
+                shards_in_run > 0,
+                "a shard peeked ready but drained nothing"
+            );
+            self.event_buf = events;
+            // Canonical application. One shard's effects are already in
+            // key order — `due` is fixed at `t`, seqs arrive
+            // nondecreasing and the vc is constant. A run spanning
+            // shards is merged by key: seqs are globally unique, so the
+            // stable sort replays the run's effects in the exact global
+            // schedule order (ties — one event's own effects — keep
+            // emission order).
+            if shards_in_run > 1 {
                 self.parallel_runs += 1;
-                work.into_par_iter()
-                    .map(|(shard, events, effects)| shard.process(t, events, effects))
-                    .collect()
-            } else {
-                work.into_iter()
-                    .map(|(shard, events, effects)| shard.process(t, events, effects))
-                    .collect()
-            };
-            // Canonical application: merge the per-shard buffers by key.
-            // Seqs are globally unique, so the stable sort replays the
-            // run's effects in the exact global schedule order (ties —
-            // one event's own effects — keep emission order).
-            let mut gathered = std::mem::take(&mut self.effect_gather);
-            debug_assert!(gathered.is_empty());
-            for (mut events, mut effects) in results {
-                events.clear();
-                self.event_bufs.push(events);
-                gathered.append(&mut effects);
-                self.effect_bufs.push(effects);
+                gathered.sort_by_key(|e| e.key);
             }
-            gathered.sort_by_key(|e| e.key);
-            for item in gathered.drain(..) {
-                self.apply_one(item);
-            }
-            self.effect_gather = gathered;
+            debug_assert!(gathered.is_sorted_by_key(|e| e.key));
+            self.apply_effects(gathered);
         }
     }
 
     // ---- effect application ------------------------------------------------
 
-    /// Applies an already-ordered effect buffer and recycles it (the
-    /// control-handler and single-step path; the batch loop merges
-    /// buffers itself and calls [`Self::apply_one`] directly).
+    /// Applies an already-ordered effect buffer, then keeps it as the
+    /// next run's gather buffer.
     fn apply_effects(&mut self, mut effects: Vec<SequencedEffect>) {
         for item in effects.drain(..) {
             self.apply_one(item);
         }
-        self.effect_bufs.push(effects);
+        self.effect_gather = effects;
     }
 
     fn apply_one(&mut self, item: SequencedEffect) {
@@ -1526,8 +1490,7 @@ impl ShardExecutor {
             app_vc,
             next_app,
             scratch_out: Vec::new(),
-            event_bufs: Vec::new(),
-            effect_bufs: Vec::new(),
+            event_buf: Vec::new(),
             effect_gather: Vec::new(),
             parallel_runs,
             aggregate,

@@ -17,19 +17,19 @@
 //!   billing ledger, usage metrics, Client-Manager queue and the latency
 //!   RNG. It consumes effects; it never calls into shards.
 //! * [`ShardExecutor`] — owns both plus a sequential control queue
-//!   (arrivals and VM-lifecycle choreography, which read cross-shard
-//!   state or draw from fabric RNG streams). Per time step it drains the
-//!   same-instant batch of shard events, processes each shard's slice
-//!   independently — **in parallel through the rayon shim when the batch
-//!   spans shards** — and then applies the collected effects
-//!   sequentially in canonical `(due, vc_id, seq)` order.
+//!   (cloud-lease closes). Per time step it drains the same-instant run
+//!   of shard events and processes each shard's slice in turn on the
+//!   calling thread, appending its effects to one buffer. When the run
+//!   spans shards, a stable sort merges that buffer into canonical
+//!   `(due, vc_id, seq)` order; then the effects apply sequentially
+//!   (why not in parallel: see the executor's module docs).
 //!
 //! Determinism is by construction, not by luck: shard processing touches
-//! disjoint state, effect application is single-threaded in a canonical
-//! order, and every event carries a globally-unique sequence tag handed
-//! out by one counter — so reports are bit-identical at
-//! `RAYON_NUM_THREADS=1` and N, and the executor's batched loop agrees
-//! with the one-event-at-a-time [`ShardExecutor::step`] path.
+//! disjoint state, effect application follows a canonical order, every
+//! event carries a globally-unique sequence tag handed out by one
+//! counter, and the engine spawns no threads — so a report depends
+//! neither on the order shards are processed in nor on the thread
+//! count.
 
 mod effects;
 mod executor;

@@ -31,8 +31,8 @@ use meryn_workloads::Submission;
 /// grid: the first multiple of `interval` strictly after `now`. All
 /// live applications therefore check on shared instants — which is what
 /// turns SLA monitoring into wide same-instant cross-shard runs the
-/// executor can fan out, instead of one-event instants scattered by
-/// arrival phase.
+/// executor drains as one batch, instead of one-event instants
+/// scattered by arrival phase.
 pub(crate) fn next_check(now: SimTime, interval: SimDuration) -> SimTime {
     let step = interval.as_millis().max(1);
     SimTime::from_millis((now.as_millis() / step + 1) * step)

@@ -119,15 +119,14 @@ impl Platform {
 
     /// Processes one event; `false` when all queues are drained.
     ///
-    /// The single-step path is strictly sequential; the batched
-    /// [`Self::run_to_completion`] loop produces the same trajectory
+    /// The single-step path applies each event's effects at once; the
+    /// batched [`Self::run_to_completion`] loop produces the same trajectory
     /// (that equivalence is pinned by the engine's determinism tests).
     pub fn step(&mut self) -> bool {
         self.exec.step()
     }
 
-    /// Drains the event queues through the batched, shard-parallel
-    /// executor loop.
+    /// Drains the event queues through the batched executor loop.
     pub fn run_to_completion(&mut self) {
         self.exec.run_to_completion();
     }
@@ -187,8 +186,8 @@ impl Platform {
         self.exec.now()
     }
 
-    /// Same-instant cross-shard event runs the executor fanned out to
-    /// worker threads so far.
+    /// Same-instant event runs so far that spanned two or more shards,
+    /// whose effects the canonical key sort merged.
     pub fn parallel_runs(&self) -> u64 {
         self.exec.parallel_runs()
     }
@@ -354,7 +353,7 @@ mod tests {
     #[test]
     fn stepped_loop_matches_batched_executor() {
         // The one-event-at-a-time `step` path and the batched
-        // shard-parallel `run_to_completion` path must walk the same
+        // `run_to_completion` path must walk the same
         // trajectory.
         let subs: Vec<Submission> = (0..12)
             .map(|i| batch_sub(5 + (i / 4) * 5, (i % 2) as usize, 150 + i * 30))

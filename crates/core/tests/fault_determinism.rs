@@ -3,11 +3,12 @@
 //! Crashes, transient lease rejections and outage windows are all
 //! drawn from dedicated seeded streams (per-shard fault streams, the
 //! cloud's fault fork), so arming them must not cost a byte of
-//! determinism: a fault-enabled run is **byte-identical** at 1, 2 and
-//! 8 threads with the parallel fan-out actually firing, and a
-//! checkpoint taken *inside* an outage window, restored through a
-//! serde round trip, finishes byte-for-byte like the uninterrupted
-//! run. The fixed-case tests assert the failure processes really
+//! determinism: a fault-enabled run is **byte-identical** when repeated
+//! in one process, with multi-shard runs merged by the canonical key
+//! sort (meryn-core spawns no threads, so the thread count cannot
+//! reach the report), and a checkpoint taken *inside* an outage window,
+//! restored through a serde round trip, finishes byte-for-byte like the
+//! uninterrupted run. The fixed-case tests assert the failure processes really
 //! fired — determinism of a fault-free run would be vacuous — and a
 //! proptest sweeps random fault regimes over random workloads.
 
@@ -19,15 +20,6 @@ use meryn_sla::negotiation::UserStrategy;
 use meryn_vmm::LatencyModel;
 use meryn_workloads::{Submission, VcTarget};
 use proptest::prelude::*;
-use rayon::ThreadPoolBuilder;
-
-fn at_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("shim pool build is infallible")
-        .install(op)
-}
 
 /// A pressured multi-VC deployment with every failure process armed:
 /// tight VM MTBF (stints run long enough that crashes are near
@@ -40,7 +32,7 @@ fn chaotic_config() -> PlatformConfig {
         .map(|i| VcConfig::batch(format!("vc-{i:02}"), 4))
         .collect();
     // Zero front-end latency keeps each wave's cohort on one instant,
-    // which is what lets same-instant runs clear the fan-out gate.
+    // which is what makes same-instant runs span several shards.
     cfg.latencies.base = LatencyModel::ZERO;
     cfg.violation_policy = ViolationPolicy::EscalateToCloud;
     cfg.faults = FaultSpec {
@@ -80,31 +72,32 @@ fn chaotic_workload() -> Vec<Submission> {
     subs
 }
 
-fn run_chaotic(threads: usize) -> (String, u64) {
-    let cfg = chaotic_config();
-    let workload = chaotic_workload();
-    at_threads(threads, || {
-        let mut platform = Platform::new(cfg.clone());
-        platform.enqueue_workload(&workload);
-        platform.run_to_completion();
-        let parallel_runs = platform.parallel_runs();
-        let report = platform.finalize();
-        (
-            serde_json::to_string(&report).expect("report serializes"),
-            parallel_runs,
-        )
-    })
+/// Runs `workload` to completion; returns the serialized report and
+/// the number of multi-shard runs the canonical key sort merged.
+fn run(cfg: PlatformConfig, workload: &[Submission]) -> (String, u64) {
+    let mut platform = Platform::new(cfg);
+    platform.enqueue_workload(workload);
+    platform.run_to_completion();
+    let parallel_runs = platform.parallel_runs();
+    let report = platform.finalize();
+    (
+        serde_json::to_string(&report).expect("report serializes"),
+        parallel_runs,
+    )
+}
+
+fn run_chaotic() -> (String, u64) {
+    run(chaotic_config(), &chaotic_workload())
 }
 
 #[test]
 fn fault_enabled_run_is_thread_count_independent() {
-    let (sequential, runs_1) = run_chaotic(1);
+    let (first, runs) = run_chaotic();
     assert!(
-        runs_1 > 0,
-        "no run cleared the fan-out gate — the case never exercised the parallel path"
+        runs > 0,
+        "no run spanned two shards — the canonical merge went unexercised"
     );
-    let report: meryn_core::RunReport =
-        serde_json::from_str(&sequential).expect("report deserializes");
+    let report: meryn_core::RunReport = serde_json::from_str(&first).expect("report deserializes");
     let faults = report
         .faults
         .expect("fault stats present when faults armed");
@@ -113,22 +106,15 @@ fn fault_enabled_run_is_thread_count_independent() {
         faults.lease_rejections > 0,
         "no lease was ever refused: {faults:?}"
     );
-    for threads in [2usize, 8] {
-        let (threaded, runs_n) = run_chaotic(threads);
-        assert_eq!(
-            sequential, threaded,
-            "fault-enabled report diverged between 1 and {threads} threads"
-        );
-        assert_eq!(
-            runs_1, runs_n,
-            "run batching must not depend on the thread count"
-        );
-    }
+    assert_eq!(
+        (first, runs),
+        run_chaotic(),
+        "fault-enabled report diverged between two runs of one case"
+    );
 }
 
 /// One random fault-enabled deployment + workload, fully described by
-/// plain data so every thread-count run rebuilds an identical
-/// platform.
+/// plain data so every run rebuilds an identical platform.
 #[derive(Debug, Clone)]
 struct FaultCase {
     vcs: usize,
@@ -161,7 +147,7 @@ fn fault_case_strategy() -> impl Strategy<Value = FaultCase> {
         )
 }
 
-fn run_fault_case(case: &FaultCase, threads: usize) -> (String, u64) {
+fn run_fault_case(case: &FaultCase) -> (String, u64) {
     let mut cfg = PlatformConfig::paper("meryn");
     cfg.seed = case.seed;
     cfg.private_capacity = case.vcs as u64 * 6;
@@ -199,50 +185,33 @@ fn run_fault_case(case: &FaultCase, threads: usize) -> (String, u64) {
             )
         })
         .collect();
-    at_threads(threads, || {
-        let mut platform = Platform::new(cfg.clone());
-        platform.enqueue_workload(&workload);
-        platform.run_to_completion();
-        let parallel_runs = platform.parallel_runs();
-        let report = platform.finalize();
-        (
-            serde_json::to_string(&report).expect("report serializes"),
-            parallel_runs,
-        )
-    })
+    run(cfg, &workload)
 }
 
 proptest! {
-    // Each case runs three full simulations; a handful of cases keeps
+    // Each case runs two full simulations; a handful of cases keeps
     // the battery meaningful without dominating the suite's wall time.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// *Random* fault regimes (MTBF, rejection probability, outage
     /// window) over random workloads: the report stays byte-identical
-    /// at 1, 2 and 8 threads with the fan-out firing. Whether the
-    /// drawn hazard actually crashed anything is case-dependent — the
-    /// fixed chaotic case above asserts the processes fire; this
-    /// battery pins the equality across the whole parameter space.
+    /// between two runs of the case, with multi-shard runs merged.
+    /// Whether the drawn hazard actually crashed anything is
+    /// case-dependent — the fixed chaotic case above asserts the
+    /// processes fire; this battery pins the equality across the whole
+    /// parameter space.
     #[test]
     fn random_fault_regimes_are_thread_count_independent(case in fault_case_strategy()) {
-        let (sequential, runs_1) = run_fault_case(&case, 1);
+        let (first, runs) = run_fault_case(&case);
         prop_assert!(
-            runs_1 > 0,
-            "no run cleared the fan-out gate — the case never exercised the parallel path"
+            runs > 0,
+            "no run spanned two shards — the canonical merge went unexercised"
         );
-        for threads in [2usize, 8] {
-            let (threaded, runs_n) = run_fault_case(&case, threads);
-            prop_assert_eq!(
-                &sequential,
-                &threaded,
-                "fault-enabled report diverged between 1 and {} threads", threads
-            );
-            prop_assert_eq!(
-                runs_1,
-                runs_n,
-                "run batching must not depend on the thread count"
-            );
-        }
+        prop_assert_eq!(
+            (first, runs),
+            run_fault_case(&case),
+            "fault-enabled report diverged between two runs of one case"
+        );
     }
 }
 

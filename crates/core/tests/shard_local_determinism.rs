@@ -1,19 +1,20 @@
 //! The shard-local control plane's determinism battery.
 //!
-//! PR 6 moved latency draws, SLA checks and VM choreography out of the
-//! sequential control plane into the per-VC shards, which is exactly
-//! what lets same-instant cross-shard runs fan out to worker threads.
-//! This property test pins the contract that migration must honour:
-//! for *random* workloads over 2–16 VCs, the finalized report is
-//! **byte-identical** at 1, 2 and 8 threads — and the fan-out path
-//! actually fires (`parallel_runs > 0`), so the equality is exercised,
-//! not vacuous.
+//! Latency draws, SLA checks, VM choreography and admission live in the
+//! per-VC shards, not the sequential control plane, so a same-instant
+//! run of events can be processed shard by shard and its effects merged
+//! by their canonical `(due, seq, vc)` key. meryn-core spawns no
+//! threads, so a report cannot depend on the thread count. What these
+//! property tests pin is that the merge is deterministic: for *random*
+//! workloads over 2–16 VCs, the finalized report is **byte-identical**
+//! between two runs of the case — and multi-shard runs actually occur
+//! (`parallel_runs > 0`), so the merge is exercised, not bypassed.
 //!
 //! The workload generator deliberately lands whole cohorts on shared
 //! instants (wave arrivals, zero front-end latency) and keeps dozens
 //! of applications live at once, so the 30-second controller-check
-//! grid produces same-instant runs wide enough to clear the executor's
-//! fan-out gate at every generated case.
+//! grid produces same-instant runs spanning many shards at every
+//! generated case.
 
 use meryn_core::app::AppPhase;
 use meryn_core::config::{PlatformConfig, VcConfig};
@@ -24,21 +25,12 @@ use meryn_sla::negotiation::UserStrategy;
 use meryn_vmm::LatencyModel;
 use meryn_workloads::{Submission, VcTarget};
 use proptest::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 /// VMs deployed per VC; capacity is sized so every VC's share fits.
 const VMS_PER_VC: u64 = 4;
 
-fn at_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("shim pool build is infallible")
-        .install(op)
-}
-
 /// One random deployment + workload, fully described by plain data so
-/// every thread-count run rebuilds an identical platform.
+/// every run rebuilds an identical platform.
 #[derive(Debug, Clone)]
 struct Case {
     vcs: usize,
@@ -105,22 +97,23 @@ fn build_workload(case: &Case) -> Vec<Submission> {
         .collect()
 }
 
-/// Runs the case on `threads` workers; returns the serialized report
-/// and the number of fanned-out runs.
-fn run_case(case: &Case, threads: usize) -> (String, u64) {
-    let cfg = case_cfg(case, true);
-    let workload = case_workload(case);
-    at_threads(threads, || {
-        let mut platform = Platform::new(cfg.clone());
-        platform.enqueue_workload(&workload);
-        platform.run_to_completion();
-        let parallel_runs = platform.parallel_runs();
-        let report = platform.finalize();
-        (
-            serde_json::to_string(&report).expect("report serializes"),
-            parallel_runs,
-        )
-    })
+/// Drains `platform`; returns the serialized report and the number of
+/// multi-shard runs the canonical key sort merged.
+fn drain(mut platform: Platform) -> (String, u64) {
+    platform.run_to_completion();
+    let parallel_runs = platform.parallel_runs();
+    let report = platform.finalize();
+    (
+        serde_json::to_string(&report).expect("report serializes"),
+        parallel_runs,
+    )
+}
+
+/// Runs the case to completion (see [`drain`]).
+fn run_case(case: &Case) -> (String, u64) {
+    let mut platform = Platform::new(case_cfg(case, true));
+    platform.enqueue_workload(case_workload(case));
+    drain(platform)
 }
 
 /// The hyperscale configuration of the same case: aggregate reporting,
@@ -136,18 +129,9 @@ fn streamed_platform(case: &Case) -> Platform {
     platform
 }
 
-/// Full streamed run; returns the serialized report and fan-out count.
-fn run_streamed(case: &Case, threads: usize) -> (String, u64) {
-    at_threads(threads, || {
-        let mut platform = streamed_platform(case);
-        platform.run_to_completion();
-        let parallel_runs = platform.parallel_runs();
-        let report = platform.finalize();
-        (
-            serde_json::to_string(&report).expect("report serializes"),
-            parallel_runs,
-        )
-    })
+/// Full streamed run (see [`drain`]).
+fn run_streamed(case: &Case) -> (String, u64) {
+    drain(streamed_platform(case))
 }
 
 /// Streamed run interrupted at `stop_secs`: checkpoint, JSON
@@ -155,82 +139,63 @@ fn run_streamed(case: &Case, threads: usize) -> (String, u64) {
 /// the serialized report plus how many applications were checkpointed
 /// mid-negotiation (phase [`AppPhase::Acquiring`] — between arrival
 /// and framework hand-off).
-fn run_streamed_resumed(case: &Case, threads: usize, stop_secs: u64) -> (String, usize) {
-    at_threads(threads, || {
-        let mut platform = streamed_platform(case);
-        platform.run_until(SimTime::from_secs(stop_secs));
-        let negotiating = (0..case.subs.len() as u64)
-            .filter_map(|i| platform.app(AppId(i)))
-            .filter(|app| app.phase == AppPhase::Acquiring)
-            .count();
-        let json = serde_json::to_string(&platform.checkpoint()).expect("checkpoint serializes");
-        let cp: EngineCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
-        let mut resumed = Platform::from_checkpoint_streaming(cp, case_stream(case));
-        resumed.run_to_completion();
-        let report = serde_json::to_string(&resumed.finalize()).expect("report serializes");
-        (report, negotiating)
-    })
+fn run_streamed_resumed(case: &Case, stop_secs: u64) -> (String, usize) {
+    let mut platform = streamed_platform(case);
+    platform.run_until(SimTime::from_secs(stop_secs));
+    let negotiating = (0..case.subs.len() as u64)
+        .filter_map(|i| platform.app(AppId(i)))
+        .filter(|app| app.phase == AppPhase::Acquiring)
+        .count();
+    let json = serde_json::to_string(&platform.checkpoint()).expect("checkpoint serializes");
+    let cp: EngineCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
+    let mut resumed = Platform::from_checkpoint_streaming(cp, case_stream(case));
+    resumed.run_to_completion();
+    let report = serde_json::to_string(&resumed.finalize()).expect("report serializes");
+    (report, negotiating)
 }
 
 proptest! {
-    // Each case runs three full simulations; a handful of cases keeps
+    // Each case runs two full simulations; a handful of cases keeps
     // the battery meaningful without dominating the suite's wall time.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn random_workloads_are_thread_count_independent(case in case_strategy()) {
-        let (sequential, runs_1) = run_case(&case, 1);
+        let (first, runs) = run_case(&case);
         prop_assert!(
-            runs_1 > 0,
-            "no run cleared the fan-out gate — the case never exercised the parallel path"
+            runs > 0,
+            "no run spanned two shards — the canonical merge went unexercised"
         );
-        for threads in [2usize, 8] {
-            let (threaded, runs_n) = run_case(&case, threads);
-            prop_assert_eq!(
-                &sequential,
-                &threaded,
-                "report diverged between 1 and {} threads", threads
-            );
-            prop_assert_eq!(
-                runs_1,
-                runs_n,
-                "run batching must not depend on the thread count"
-            );
-        }
+        prop_assert_eq!(
+            (first, runs),
+            run_case(&case),
+            "report diverged between two runs of one case"
+        );
     }
 
     /// The same contract for the hyperscale configuration: aggregate
     /// reporting with arrivals streamed through the pump (pre-reserved
-    /// seq-tag blocks, shard-side admission). Byte-identical at 1, 2
-    /// and 8 threads, with the fan-out path exercised.
+    /// seq-tag blocks, shard-side admission): byte-identical between
+    /// two runs, with multi-shard runs merged.
     #[test]
     fn streamed_aggregate_runs_are_thread_count_independent(case in case_strategy()) {
-        let (sequential, runs_1) = run_streamed(&case, 1);
+        let (first, runs) = run_streamed(&case);
         prop_assert!(
-            runs_1 > 0,
-            "no streamed run cleared the fan-out gate — the parallel path went unexercised"
+            runs > 0,
+            "no streamed run spanned two shards — the canonical merge went unexercised"
         );
-        for threads in [2usize, 8] {
-            let (threaded, runs_n) = run_streamed(&case, threads);
-            prop_assert_eq!(
-                &sequential,
-                &threaded,
-                "streamed report diverged between 1 and {} threads", threads
-            );
-            prop_assert_eq!(
-                runs_1,
-                runs_n,
-                "streamed run batching must not depend on the thread count"
-            );
-        }
+        prop_assert_eq!(
+            (first, runs),
+            run_streamed(&case),
+            "streamed report diverged between two runs of one case"
+        );
     }
 
     /// Checkpointing a streamed run **mid-negotiation** — after a
     /// wave's arrivals registered their applications in-shard but
     /// inside the 7–15 s CM-handling window, so `Effect::Place` is
     /// still in flight — then resuming through a JSON round-trip
-    /// reproduces the uninterrupted run byte for byte, sequentially
-    /// and threaded.
+    /// reproduces the uninterrupted run byte for byte.
     #[test]
     fn streamed_checkpoint_mid_negotiation_resumes_byte_identically(
         case in case_strategy(),
@@ -241,20 +206,15 @@ proptest! {
         // handling draw, so every application that arrived on that
         // wave is still negotiating when the checkpoint is cut.
         let stop_secs = 5 + wave * 120 + offset;
-        let (full, _) = run_streamed(&case, 1);
-        let (resumed, negotiating) = run_streamed_resumed(&case, 1, stop_secs);
+        let (full, _) = run_streamed(&case);
+        let (resumed, negotiating) = run_streamed_resumed(&case, stop_secs);
         prop_assert!(
             negotiating > 0 || !case.subs.iter().any(|&(w, ..)| w == wave),
             "a populated wave arrived {offset} s ago yet nothing is mid-negotiation"
         );
         prop_assert_eq!(
             &resumed, &full,
-            "sequential mid-negotiation resume from t={} diverged", stop_secs
-        );
-        let (threaded, _) = run_streamed_resumed(&case, 8, stop_secs);
-        prop_assert_eq!(
-            &threaded, &full,
-            "threaded mid-negotiation resume from t={} diverged", stop_secs
+            "mid-negotiation resume from t={} diverged", stop_secs
         );
     }
 }

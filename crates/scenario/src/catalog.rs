@@ -205,7 +205,7 @@ pub fn representative_datacenter() -> Scenario {
     }
 }
 
-/// The shard-parallelism showcase: sixteen batch VCs, each large
+/// The multi-shard merge showcase: sixteen batch VCs, each large
 /// enough that one arrival cohort exactly fills it, with every latency
 /// that feeds the choreography held *fixed*. Cohorts of 1024
 /// submissions land at one instant (negotiation sizes each job at two
@@ -213,10 +213,12 @@ pub fn representative_datacenter() -> Scenario {
 /// handoffs, dispatches, completions and (interval-aligned)
 /// Application Controller checks all share instants too — every such
 /// instant is a ~1k-event batch spread evenly across all sixteen
-/// shards, which is exactly the shape the parallel executor pays off
-/// on. This is the CI thread-speedup gate's scenario: its report must
-/// be byte-identical at any `RAYON_NUM_THREADS`, and the threaded run
-/// must not be slower.
+/// shards, which the executor processes shard by shard and merges by
+/// canonical key. CI gates its run width (`parallel_runs`, the runs
+/// spanning two or more shards) and byte-compares its report at any
+/// `RAYON_NUM_THREADS`. The spec's description string still names the
+/// retired thread-speedup gate; it is part of the golden, so it changes
+/// only with the next re-baseline.
 pub fn many_vc() -> Scenario {
     let mut platform = PlatformConfig::paper("meryn");
     platform.private_capacity = 2048;

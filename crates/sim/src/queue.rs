@@ -431,7 +431,7 @@ impl<E: Clone> EventQueue<E> {
 /// This is the *shard barrier*: everything strictly before the returned
 /// key has already been popped, so a batch of same-instant events
 /// drained up to the next foreign key can be processed out of line
-/// (e.g. shard-parallel) without reordering the global schedule.
+/// (e.g. shard by shard) without reordering the global schedule.
 pub fn earliest_key(
     keys: impl IntoIterator<Item = Option<(SimTime, u64)>>,
 ) -> Option<(usize, (SimTime, u64))> {

@@ -7,6 +7,12 @@
 //! rayon back in stays a one-line manifest change because call sites are
 //! written against the rayon surface.
 //!
+//! The one user in the simulator is replica-level fan-out
+//! (`meryn_scenario::sweep`): whole independent simulations, each long
+//! enough to pay for a drive. The engine itself no longer fans out a
+//! run's shards: at a few tens of microseconds of work per same-instant
+//! run, the scoped threads of every drive cost more than they spread.
+//!
 //! # Execution model and determinism
 //!
 //! Work is split into a **fixed chunk partition that depends only on the

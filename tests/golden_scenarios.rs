@@ -18,7 +18,9 @@
 //! and put the printed per-scenario delta summary in the PR
 //! description (see `scenarios/README.md` for the re-baseline policy).
 
+use meryn_bench::spec::WorkloadSpec;
 use meryn_bench::{run_scenario, Scenario};
+use serde_json::Value;
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -124,4 +126,89 @@ fn regenerating_every_golden_is_a_no_op() {
         let stem = path.file_stem().unwrap().to_str().unwrap().to_owned();
         reproduce(&stem);
     }
+}
+
+/// How many submissions `spec` arrives with — every variant of a
+/// shipped spec runs the same submissions, only arriving differently.
+fn submission_count(spec: &Scenario) -> u64 {
+    let count = match &spec.workload {
+        WorkloadSpec::Paper(p) => p.vc1_apps + p.vc2_apps,
+        WorkloadSpec::Generated { config, .. } => config.count,
+        WorkloadSpec::Explicit { submissions } => submissions.len(),
+        WorkloadSpec::TraceFile { path } => panic!("{}: trace workload {path}", spec.name),
+    };
+    count as u64
+}
+
+fn num(v: &Value, key: &str) -> f64 {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no numeric {key:?}"))
+}
+
+/// Conservation laws every golden must obey, independent of what the
+/// numbers are: read from the checked-in goldens alone (no simulation
+/// runs), for the base-seed run of every variant of every spec.
+/// - every submission is accounted for: `apps + rejected` equals the
+///   spec's submission count;
+/// - the per-VC groups partition the apps: Σ `groups[].apps` = `apps`;
+/// - so do the placements, where recorded: Σ `placements` = `apps`;
+/// - money balances: `revenue − total_cost = profit`, to 1e-6 units.
+#[test]
+fn goldens_obey_conservation_laws() {
+    let mut checked = 0;
+    for entry in std::fs::read_dir(repo_path("scenarios")).expect("scenarios/ exists") {
+        let path = entry.expect("readable entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            continue;
+        }
+        let stem = path.file_stem().unwrap().to_str().unwrap().to_owned();
+        let submitted = submission_count(&Scenario::load(&path).expect("spec loads"));
+        let golden: Value = serde_json::from_str(&golden_for(&stem)).expect("golden parses");
+        let variants = golden
+            .get("variants")
+            .and_then(Value::as_seq)
+            .expect("golden lists variants");
+        for variant in variants {
+            let label = variant.get("label").and_then(Value::as_str).unwrap_or("?");
+            let base = variant.get("base").expect("variant has a base run");
+            let apps = num(base, "apps");
+            assert_eq!(
+                apps + num(base, "rejected"),
+                submitted as f64,
+                "{stem} [{label}]: apps + rejected ≠ {submitted} submissions"
+            );
+            let grouped: f64 = base
+                .get("groups")
+                .and_then(Value::as_seq)
+                .expect("base run has groups")
+                .iter()
+                .map(|g| num(g, "apps"))
+                .sum();
+            assert_eq!(grouped, apps, "{stem} [{label}]: Σ groups[].apps ≠ apps");
+            if let Some(placements) = variant.get("placements").and_then(Value::as_seq) {
+                let placed: f64 = placements
+                    .iter()
+                    .map(|pair| {
+                        pair.as_seq()
+                            .and_then(|p| p.get(1))
+                            .and_then(Value::as_f64)
+                            .expect("placement is a [case, count] pair")
+                    })
+                    .sum();
+                assert_eq!(placed, apps, "{stem} [{label}]: Σ placements ≠ apps");
+            }
+            let (revenue, cost, profit) = (
+                num(base, "revenue_units"),
+                num(base, "total_cost_units"),
+                num(base, "profit_units"),
+            );
+            assert!(
+                (revenue - cost - profit).abs() <= 1e-6,
+                "{stem} [{label}]: revenue {revenue} − cost {cost} ≠ profit {profit}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked > 0, "no golden variant was checked");
 }

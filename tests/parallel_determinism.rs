@@ -81,9 +81,12 @@ fn table1_case_sweep_is_thread_count_independent() {
 /// A deployment engineered for wide same-instant shard batches: four
 /// VCs, zero front-end latency, and arrival waves landing whole
 /// cohorts of submissions on the same millisecond — so the sharded
-/// executor's *intra*-simulation parallel path (cross-shard event runs
-/// fanned out through the rayon shim) actually fires, instead of the
-/// usual one-event instants of calibrated-latency runs.
+/// executor's canonical merge (a same-instant run spanning shards,
+/// processed shard by shard and replayed in `(due, seq, vc)` key
+/// order) actually fires, instead of the usual one-event instants of
+/// calibrated-latency runs. The engine spawns no threads of its own;
+/// running it inside 1-, 2- and 8-thread pools pins that the pool size
+/// cannot reach a single simulation.
 fn collision_heavy_report(threads: usize) -> (String, u64) {
     use meryn_core::config::{PlatformConfig, VcConfig};
     use meryn_core::Platform;
@@ -137,7 +140,7 @@ fn intra_simulation_shard_batches_are_thread_count_independent() {
     let (sequential, runs_1) = collision_heavy_report(1);
     assert!(
         runs_1 > 0,
-        "the collision-heavy deployment must produce fan-out-width runs"
+        "the collision-heavy deployment must produce multi-shard runs"
     );
     for threads in [2, 8] {
         let (threaded, runs_n) = collision_heavy_report(threads);
