@@ -44,24 +44,16 @@
 //!
 //! Shard groups share no state, group processing is deterministic per
 //! shard, and the canonical effect order does not depend on the order
-//! the shards were processed in. The batched loop is likewise
-//! equivalent to the one-event-at-a-time [`ShardExecutor::step`] path
-//! for report-mode deployments: shard handlers read no fabric state
-//! and no state that effect application writes, so deferring a run's
-//! effects to its barrier and replaying them in schedule order
-//! produces the identical mutation sequence. Under
-//! [`crate::config::ViolationPolicy::EscalateToCloud`] the barrier
-//! semantics are authoritative: an [`Effect::Escalate`] applies at its
-//! canonical position in the run's effect stream, while the
-//! single-step path applies it
-//! immediately after its event, which can resolve a same-instant
-//! escalation/dispatch race for one job differently. [`Effect::Place`]
-//! needs no such caveat: every latency the placement might consume
-//! (CM handling plus both suspension extras) is drawn in-shard at
-//! admission, so applying the placement at the barrier or immediately
-//! after its arrival leaves each shard's stream sequence — and hence
-//! the trajectory — identical.
+//! the shards were processed in. Effect application is a barrier:
+//! within one instant, [`Effect::Place`] and [`Effect::Escalate`] apply
+//! at the run's end in canonical `(due, vc, seq)` order, and they see
+//! every shard-side change the run's events made — a same-instant
+//! `JobFinished` that freed the VC's VM, for example, even when its
+//! seq is higher than the arrival's. [`Platform::step`] advances one
+//! instant of this same loop, so stepping and draining walk one
+//! trajectory.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use meryn_frameworks::{BatchFramework, Framework, FrameworkKind, JobId, MapReduceFramework};
@@ -69,7 +61,7 @@ use meryn_sim::metrics::SeriesSet;
 use meryn_sim::{earliest_key, EventQueue, QueueSnapshot, SimDuration, SimRng, SimTime};
 use meryn_sla::pricing::PricingParams;
 use meryn_sla::Money;
-use meryn_vmm::{CloudId, ImageRegistry, Location, PrivatePool, PublicCloud, VmId};
+use meryn_vmm::{CloudId, ImageRegistry, Ledger, Location, PrivatePool, PublicCloud, VmId};
 use meryn_workloads::Submission;
 use serde::{Deserialize, Serialize};
 
@@ -104,19 +96,25 @@ const SHARD_STREAM_BASE: u64 = 1 << 32;
 /// stay byte-identical to pre-fault-plane goldens.
 const FAULT_STREAM_BASE: u64 = 2 << 32;
 
-/// The assembled engine: shards + fabric + control plane.
-pub struct ShardExecutor {
-    pub(crate) cfg: PlatformConfig,
+/// The assembled Meryn platform: one [`VcShard`] per Virtual Cluster,
+/// the [`SharedFabric`] singletons and the control plane, driven by one
+/// batched event loop. Deploy with [`Self::new`], attach a workload
+/// ([`Self::enqueue_workload`] or [`Self::stream_workload`]), drive it
+/// ([`Self::run_to_completion`], [`Self::run_until`], [`Self::step`])
+/// and [`Self::finalize`] it into a [`RunReport`] — or do all of that
+/// at once with [`Self::run`].
+pub struct Platform {
+    cfg: PlatformConfig,
     placement: Arc<dyn PlacementPolicy>,
     bidding: Arc<dyn BiddingPolicy>,
     /// One shard per deployed VC, `VcId` order.
-    pub(crate) shards: Vec<VcShard>,
+    shards: Vec<VcShard>,
     /// Deployed framework kinds, `VcId` order — the pure-config routing
     /// table arrivals resolve against at enqueue/stream-dispatch time
     /// (rebuilt from `cfg`, never serialized).
     vc_kinds: Vec<FrameworkKind>,
     /// The shared singletons.
-    pub(crate) fabric: SharedFabric,
+    fabric: SharedFabric,
     /// Order-sensitive events: arrivals and cloud-lease closes.
     control: EventQueue<Event>,
     /// Extra logical ticks of coalesced control events (one per VM in a
@@ -250,7 +248,7 @@ pub struct EngineCheckpoint {
 
 impl EngineCheckpoint {
     /// Whether the checkpointed run streamed its workload — if so,
-    /// resume with [`ShardExecutor::from_checkpoint_streaming`],
+    /// resume with [`Platform::from_checkpoint_streaming`],
     /// handing back a fresh iterator over the same workload.
     pub fn needs_workload(&self) -> bool {
         self.arrivals.is_some()
@@ -303,7 +301,7 @@ fn shard_policy(cfg: &PlatformConfig, retire_on_completion: bool) -> ShardPolicy
 }
 
 /// Outcome of one cloud-escalation attempt (see
-/// [`ShardExecutor::try_escalate_to_cloud`]).
+/// [`Platform::try_escalate_to_cloud`]).
 enum Escalation {
     /// Leases are provisioning; a fresh completion prediction is coming.
     Leased,
@@ -315,7 +313,7 @@ enum Escalation {
     Refused,
 }
 
-impl ShardExecutor {
+impl Platform {
     /// Deploys the platform described by `cfg`: boots the initial VC
     /// slaves on the private pool (deployment precedes the workload, so
     /// initial VMs come up instantly at t = 0) and pre-stages every
@@ -434,7 +432,7 @@ impl ShardExecutor {
             })
             .collect();
         let vc_kinds = cfg.vcs.iter().map(|v| v.kind).collect();
-        ShardExecutor {
+        Platform {
             cfg,
             placement,
             bidding,
@@ -457,16 +455,24 @@ impl ShardExecutor {
         }
     }
 
+    /// Sets whether the used-VM step curves are sampled (on by
+    /// default). Peaks are tracked either way; only the full
+    /// step-series sample vectors are skipped when off.
+    pub fn with_series_recording(mut self, on: bool) -> Self {
+        self.fabric.record_series = on;
+        self
+    }
+
     /// Selects how much per-application detail the run keeps; must be
     /// chosen before the run starts.
     ///
     /// [`ReportMode::Aggregate`] keeps engine memory O(live) instead of
-    /// O(history): the ledger stops retaining per-charge entries
-    /// (running totals remain exact), and every completed application
-    /// folds into per-VC aggregates and retires its engine-side state
-    /// at its canonical effect position — so the aggregates are
-    /// byte-identical at any thread count.
-    pub fn set_report_mode(&mut self, mode: ReportMode) {
+    /// O(history) — the hyperscale configuration: the ledger stops
+    /// retaining per-charge entries (running totals remain exact), and
+    /// every completed application folds into per-VC aggregates and
+    /// retires its engine-side state at its canonical effect position
+    /// — so the aggregates are byte-identical at any thread count.
+    pub fn with_report_mode(mut self, mode: ReportMode) -> Self {
         assert!(
             self.now == SimTime::ZERO && self.next_app == 0,
             "report mode must be chosen before the run starts"
@@ -477,21 +483,7 @@ impl ShardExecutor {
         for shard in &mut self.shards {
             shard.policy.retire_on_completion = aggregate;
         }
-    }
-
-    /// The run's report mode (see [`Self::set_report_mode`]).
-    pub fn report_mode(&self) -> ReportMode {
-        if self.aggregate.is_some() {
-            ReportMode::Aggregate
-        } else {
-            ReportMode::Full
-        }
-    }
-
-    /// Sets whether the used-VM step curves are sampled (on by
-    /// default). Peaks are tracked either way.
-    pub fn set_series_recording(&mut self, on: bool) {
-        self.fabric.record_series = on;
+        self
     }
 
     /// Current simulation instant.
@@ -499,23 +491,22 @@ impl ShardExecutor {
         self.now
     }
 
-    /// Logical events processed so far, summed over the control plane
-    /// and every shard queue (coalesced choreography events count one
-    /// tick per VM in their batch, keeping the unit comparable with the
-    /// pre-coalescing engine).
-    pub fn events_processed(&self) -> u64 {
-        self.control_events_processed()
-            + self
-                .shards
-                .iter()
-                .map(VcShard::events_processed)
-                .sum::<u64>()
-    }
-
-    /// Logical events the control plane processed (arrivals +
-    /// cloud-lease closes).
-    pub fn control_events_processed(&self) -> u64 {
-        self.control.events_processed() + self.control_extra_ticks
+    /// Per-queue logical-event counters as `(name, events)` pairs: the
+    /// control plane (cloud-lease closes) first under the name
+    /// `"control"`, then one entry per VC shard, `VcId` order — the
+    /// `scenario --bench` breakdown. Coalesced choreography events count
+    /// one tick per VM in their batch, keeping the unit comparable with
+    /// the pre-coalescing engine; the report's `events_processed` is the
+    /// sum.
+    pub fn shard_event_counts(&self) -> Vec<(String, u64)> {
+        let control = self.control.events_processed() + self.control_extra_ticks;
+        std::iter::once(("control".to_owned(), control))
+            .chain(
+                self.shards
+                    .iter()
+                    .map(|s| (s.vc.name.clone(), s.events_processed())),
+            )
+            .collect()
     }
 
     /// Same-instant runs so far that spanned two or more shards, whose
@@ -525,8 +516,12 @@ impl ShardExecutor {
     }
 
     /// Audits the shared fabric's conservation invariants (see
-    /// [`SharedFabric::audit_invariants`]). Call at quiescent points —
-    /// after a restore, after the queues drain.
+    /// [`SharedFabric::audit_invariants`]): active-VM counters
+    /// recounted against VM states, busy counters bounded by active
+    /// ones. `Err` carries the first violated invariant. Call at
+    /// quiescent points — after a restore, after the queues drain —
+    /// where any violation means a snapshot or state-machine bug rather
+    /// than a mid-event transient.
     pub fn audit_invariants(&self) -> Result<(), String> {
         self.fabric.audit_invariants()
     }
@@ -535,6 +530,21 @@ impl ShardExecutor {
     pub fn app(&self, id: AppId) -> Option<&Application> {
         let vc = *self.app_vc.get(id.0 as usize)?;
         self.shards[vc.0].apps.get(&id)
+    }
+
+    /// The private pool.
+    pub fn pool(&self) -> &PrivatePool {
+        &self.fabric.pool
+    }
+
+    /// The public clouds.
+    pub fn clouds(&self) -> &[PublicCloud] {
+        &self.fabric.clouds
+    }
+
+    /// The billing ledger.
+    pub fn ledger(&self) -> &Ledger {
+        &self.fabric.ledger
     }
 
     // ---- scheduling --------------------------------------------------------
@@ -582,9 +592,8 @@ impl ShardExecutor {
     pub fn enqueue_workload<I>(&mut self, workload: I)
     where
         I: IntoIterator,
-        I::Item: std::borrow::Borrow<Submission>,
+        I::Item: Borrow<Submission>,
     {
-        use std::borrow::Borrow as _;
         for sub in workload {
             let sub = *sub.borrow();
             match self.route_arrival(sub) {
@@ -685,33 +694,36 @@ impl ShardExecutor {
         }
     }
 
-    /// Processes exactly one event (the single-step debugging/test
-    /// path). Equivalent to the batched loop: a batch is just a run of
-    /// these with the effect application deferred to the barrier.
+    /// Advances one instant of the batched loop: every event due at
+    /// the next pending instant is processed and its effects applied,
+    /// exactly as [`Self::run_until`] would. `false` when all queues
+    /// are drained.
     pub fn step(&mut self) -> bool {
-        let Some((idx, (t, _))) = self.next_source() else {
+        let Some((_, (t, _))) = self.next_source() else {
             return false;
         };
-        self.now = t;
-        if idx == 0 {
-            let (_, seq, ev) = self.control.pop_keyed().expect("peeked");
-            self.handle_control(t, seq, ev);
-        } else {
-            let shard = idx - 1;
-            let (_, seq, ev) = self.shards[shard].queue.pop_keyed().expect("peeked");
-            let mut events = std::mem::take(&mut self.event_buf);
-            events.push((seq, ev));
-            let effects = std::mem::take(&mut self.effect_gather);
-            let (events, effects) = self.shards[shard].process(t, events, effects);
-            self.event_buf = events;
-            self.apply_effects(effects);
-        }
+        self.run_until(t);
         true
     }
 
     /// Drains all queues: the batched production loop.
     pub fn run_to_completion(&mut self) {
         self.run_until(SimTime::MAX);
+    }
+
+    /// **The** entry point for external callers: enqueues `workload`,
+    /// drains the event loop and reports. Equivalent to
+    /// [`Self::enqueue_workload`] + [`Self::run_to_completion`] +
+    /// [`Self::finalize`]; use those pieces directly only when stepping
+    /// or inspecting mid-run state.
+    pub fn run<I>(mut self, workload: I) -> RunReport
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Submission>,
+    {
+        self.enqueue_workload(workload);
+        self.run_to_completion();
+        self.finalize()
     }
 
     /// The batched loop, stopping once the next event is due strictly
@@ -1476,7 +1488,7 @@ impl ShardExecutor {
             }
         });
         let vc_kinds = cfg.vcs.iter().map(|v| v.kind).collect();
-        ShardExecutor {
+        Platform {
             cfg,
             placement,
             bidding,
@@ -1537,7 +1549,7 @@ impl ShardExecutor {
                 }
             }
         }
-        let events_processed = self.events_processed();
+        let events_processed = self.shard_event_counts().iter().map(|(_, n)| n).sum();
         let (peak_private, peak_cloud) = self.fabric.peaks();
         let mut series = SeriesSet::new();
         series.add(self.fabric.used_private);

@@ -95,7 +95,7 @@ impl SharedFabric {
     ///
     /// Public for the engine's property tests and for embedders that
     /// drive the effect stream directly; the normal path is
-    /// [`crate::engine::ShardExecutor::new`].
+    /// [`crate::engine::Platform::new`].
     pub fn new(
         pool: PrivatePool,
         clouds: Vec<PublicCloud>,

@@ -1,7 +1,7 @@
 //! The sharded simulation engine.
 //!
 //! PR 4 made one simulation fast; this module makes it *decomposable*.
-//! The former `Platform` monolith — one `&mut self` event loop mutating
+//! The pre-shard monolith — one `&mut self` event loop mutating
 //! every subsystem — is split into three state machines with explicit
 //! boundaries, following the component-per-actor shape of discrete-event
 //! frameworks like dslab and the piecewise-deterministic event semantics
@@ -16,13 +16,15 @@
 //! * [`SharedFabric`] — the singletons: private pool, public clouds,
 //!   billing ledger, usage metrics, Client-Manager queue and the latency
 //!   RNG. It consumes effects; it never calls into shards.
-//! * [`ShardExecutor`] — owns both plus a sequential control queue
-//!   (cloud-lease closes). Per time step it drains the same-instant run
-//!   of shard events and processes each shard's slice in turn on the
-//!   calling thread, appending its effects to one buffer. When the run
-//!   spans shards, a stable sort merges that buffer into canonical
-//!   `(due, vc_id, seq)` order; then the effects apply sequentially
-//!   (why not in parallel: see the executor's module docs).
+//! * [`Platform`] — owns both plus a sequential control queue
+//!   (cloud-lease closes); the one engine type callers construct. Per
+//!   time step it drains the same-instant run of shard events and
+//!   processes each shard's slice in turn on the calling thread,
+//!   appending its effects to one buffer. When the run spans shards, a
+//!   stable sort merges that buffer into canonical `(due, vc_id, seq)`
+//!   order; then the effects apply sequentially at the run's barrier
+//!   (see the executor's module docs). [`Platform::step`] advances one
+//!   instant of that same loop.
 //!
 //! Determinism is by construction, not by luck: shard processing touches
 //! disjoint state, effect application follows a canonical order, every
@@ -37,6 +39,6 @@ mod fabric;
 mod shard;
 
 pub use effects::{Effect, EffectKey, EffectSink, SequencedEffect};
-pub use executor::{EngineCheckpoint, ShardExecutor, StreamError};
+pub use executor::{EngineCheckpoint, Platform, StreamError};
 pub use fabric::SharedFabric;
 pub use shard::{ShardSnapshot, VcShard};

@@ -9,6 +9,8 @@
 //! workloads over 2–16 VCs, the finalized report is **byte-identical**
 //! between two runs of the case — and multi-shard runs actually occur
 //! (`parallel_runs > 0`), so the merge is exercised, not bypassed.
+//! Stepping the case one instant at a time ([`Platform::step`]) walks
+//! the same trajectory as draining it.
 //!
 //! The workload generator deliberately lands whole cohorts on shared
 //! instants (wave arrivals, zero front-end latency) and keeps dozens
@@ -109,10 +111,22 @@ fn drain(mut platform: Platform) -> (String, u64) {
     )
 }
 
-/// Runs the case to completion (see [`drain`]).
-fn run_case(case: &Case) -> (String, u64) {
+/// The case's zero-latency platform with its workload enqueued.
+fn case_platform(case: &Case) -> Platform {
     let mut platform = Platform::new(case_cfg(case, true));
     platform.enqueue_workload(case_workload(case));
+    platform
+}
+
+/// Runs the case to completion (see [`drain`]).
+fn run_case(case: &Case) -> (String, u64) {
+    drain(case_platform(case))
+}
+
+/// Runs the case one instant at a time through [`Platform::step`].
+fn step_case(case: &Case) -> (String, u64) {
+    let mut platform = case_platform(case);
+    while platform.step() {}
     drain(platform)
 }
 
@@ -155,21 +169,26 @@ fn run_streamed_resumed(case: &Case, stop_secs: u64) -> (String, usize) {
 }
 
 proptest! {
-    // Each case runs two full simulations; a handful of cases keeps
+    // Each case runs two or three full simulations; a handful of cases keeps
     // the battery meaningful without dominating the suite's wall time.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn random_workloads_are_thread_count_independent(case in case_strategy()) {
-        let (first, runs) = run_case(&case);
+        let first = run_case(&case);
         prop_assert!(
-            runs > 0,
+            first.1 > 0,
             "no run spanned two shards — the canonical merge went unexercised"
         );
         prop_assert_eq!(
-            (first, runs),
-            run_case(&case),
+            &first,
+            &run_case(&case),
             "report diverged between two runs of one case"
+        );
+        prop_assert_eq!(
+            first,
+            step_case(&case),
+            "stepping one instant at a time diverged from the batched loop"
         );
     }
 

@@ -12,6 +12,7 @@
 //! threaded run for every checked-in spec.
 
 use std::io;
+use std::sync::Arc;
 
 use meryn_core::config::PlatformConfig;
 use meryn_core::report::{compare, ReportMode, RunReport};
@@ -23,7 +24,7 @@ use meryn_workloads::Submission;
 use serde::Serialize;
 
 use crate::paper::{paper_range, TABLE1_CASES};
-use crate::spec::{Scenario, WorkloadModifier};
+use crate::spec::{OutputSpec, Scenario, WorkloadModifier};
 use crate::sweep::{case_sweep, fanout, ReplicaStats};
 
 /// One expanded sweep variant: a concrete platform config plus the
@@ -289,50 +290,22 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
     // (when needed), then the derived replica streams. Flat fanout,
     // order preserved. Materialized workloads are memoized per
     // modifier, so a policy-only sweep over a trace file reads and
-    // parses it once, not once per variant. Aggregate scenarios with a
-    // `Generated` workload never materialize at all: each job streams
-    // its submissions straight from the seeded generator, so arrival
-    // memory is O(1) even at hyperscale counts (the stream and the
-    // sorted vector are byte-identical — generator arrivals are
-    // nondecreasing).
-    enum JobInput {
-        Batch(std::sync::Arc<Vec<Submission>>),
-        Stream(GeneratorConfig, u64),
-    }
-    let streamed = outputs.aggregate
-        && matches!(
-            scenario.workload,
-            crate::spec::WorkloadSpec::Generated { .. }
-        );
-    let mut materialized: Vec<(WorkloadModifier, std::sync::Arc<Vec<Submission>>)> = Vec::new();
-    let mut jobs: Vec<(PlatformConfig, JobInput)> = Vec::new();
+    // parses it once, not once per variant.
+    let mut materialized: Vec<(WorkloadModifier, Arc<Vec<Submission>>)> = Vec::new();
+    let mut jobs: Vec<(PlatformConfig, RunInput)> = Vec::new();
     for variant in &variants {
-        let input = if streamed {
-            let (gen_cfg, seed) = scenario
-                .workload
-                .streamable(&variant.modifier)
-                .expect("streamed implies a Generated workload");
-            JobInput::Stream(gen_cfg, seed)
-        } else {
-            let workload = match materialized.iter().find(|(m, _)| *m == variant.modifier) {
-                Some((_, w)) => std::sync::Arc::clone(w),
-                None => {
-                    let w = std::sync::Arc::new(scenario.workload.materialize(&variant.modifier)?);
-                    materialized.push((variant.modifier, std::sync::Arc::clone(&w)));
-                    w
+        let input = match materialized.iter().find(|(m, _)| *m == variant.modifier) {
+            Some((_, w)) => RunInput::Batch(Arc::clone(w)),
+            None => {
+                let input = resolve_input(scenario, &variant.modifier)?;
+                if let RunInput::Batch(w) = &input {
+                    materialized.push((variant.modifier, Arc::clone(w)));
                 }
-            };
-            JobInput::Batch(workload)
-        };
-        let clone_input = |input: &JobInput| match input {
-            JobInput::Batch(w) => JobInput::Batch(std::sync::Arc::clone(w)),
-            JobInput::Stream(c, s) => JobInput::Stream(c.clone(), *s),
+                input
+            }
         };
         if with_base {
-            jobs.push((
-                variant.cfg.clone().with_seed(base_seed),
-                clone_input(&input),
-            ));
+            jobs.push((variant.cfg.clone().with_seed(base_seed), input.clone()));
         }
         for i in 0..replicas {
             jobs.push((
@@ -340,30 +313,12 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
                     .cfg
                     .clone()
                     .with_seed(SimRng::stream_seed(base_seed, i)),
-                clone_input(&input),
+                input.clone(),
             ));
         }
     }
-    // Curve recording is costly bookkeeping on long runs; only sample
-    // the used-VM series when the requested outputs actually emit them.
-    // Peaks (the Fig 5 headline numbers) are tracked either way.
-    let record_series = outputs.series;
-    let aggregate = outputs.aggregate;
     let reports: Vec<RunReport> = fanout(jobs, |(cfg, input)| {
-        let mut platform = Platform::new(cfg).with_series_recording(record_series);
-        if aggregate {
-            platform = platform.with_report_mode(ReportMode::Aggregate);
-        }
-        match input {
-            JobInput::Batch(workload) => platform.enqueue_workload(workload.iter()),
-            JobInput::Stream(gen_cfg, seed) => {
-                let count = gen_cfg.count as u64;
-                let subs = GeneratedChunks::new(&gen_cfg, seed, DEFAULT_CHUNK).submissions();
-                platform
-                    .stream_workload(count, subs)
-                    .expect("a fresh platform has no stream attached");
-            }
-        }
+        let mut platform = deploy(cfg, outputs, input);
         platform.run_to_completion();
         platform.finalize()
     });
@@ -434,11 +389,69 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
     })
 }
 
+/// How one run receives its workload: a materialized submission list,
+/// shared by every job that runs it, or a seeded generator the engine
+/// pulls from lazily.
+#[derive(Clone)]
+pub(crate) enum RunInput {
+    Batch(Arc<Vec<Submission>>),
+    Stream(GeneratorConfig, u64),
+}
+
+/// Resolves how a run of `scenario` under `modifier` receives its
+/// workload. Aggregate scenarios with a `Generated` workload never
+/// materialize: the run streams its submissions straight from the
+/// seeded generator, so arrival memory is O(1) even at hyperscale
+/// counts (the stream and the sorted vector are byte-identical —
+/// generator arrivals are nondecreasing). Everything else is
+/// materialized.
+///
+/// # Errors
+/// Only materialization can fail (an unreadable `TraceFile`).
+pub(crate) fn resolve_input(
+    scenario: &Scenario,
+    modifier: &WorkloadModifier,
+) -> io::Result<RunInput> {
+    let stream = (scenario.outputs.aggregate)
+        .then(|| scenario.workload.streamable(modifier))
+        .flatten();
+    Ok(match stream {
+        Some((gen_cfg, seed)) => RunInput::Stream(gen_cfg, seed),
+        None => RunInput::Batch(Arc::new(scenario.workload.materialize(modifier)?)),
+    })
+}
+
+/// Deploys one run of a scenario: the platform for `cfg` with the
+/// scenario's series recording and report mode, and `input` attached.
+/// Every scenario run — [`run_scenario`]'s jobs, [`single_run_start`]
+/// and [`crate::bench::bench_scenario`] — is built here. Curve
+/// recording is costly bookkeeping on long runs, so the used-VM series
+/// is only sampled when the outputs emit it; peaks (the Fig 5 headline
+/// numbers) are tracked either way.
+pub(crate) fn deploy(cfg: PlatformConfig, outputs: &OutputSpec, input: RunInput) -> Platform {
+    let mode = if outputs.aggregate {
+        ReportMode::Aggregate
+    } else {
+        ReportMode::Full
+    };
+    let mut platform = Platform::new(cfg)
+        .with_series_recording(outputs.series)
+        .with_report_mode(mode);
+    match input {
+        RunInput::Batch(workload) => platform.enqueue_workload(workload.iter()),
+        RunInput::Stream(gen_cfg, seed) => {
+            let subs = GeneratedChunks::new(&gen_cfg, seed, DEFAULT_CHUNK).submissions();
+            platform
+                .stream_workload(gen_cfg.count as u64, subs)
+                .expect("a fresh platform has no stream attached");
+        }
+    }
+    platform
+}
+
 /// Prepares the *single run* the checkpoint workflow operates on: the
-/// base-seed run of the scenario's first expanded variant, with the
-/// scenario's report mode and workload delivery (streamed for
-/// aggregate `Generated` scenarios, enqueued otherwise) applied
-/// exactly as [`run_scenario`] would. Drive it with
+/// base-seed run of the scenario's first expanded variant, deployed
+/// exactly as [`run_scenario`] deploys it. Drive it with
 /// [`Platform::run_until`] + [`Platform::checkpoint`], or straight to
 /// completion for the uninterrupted comparator.
 pub fn single_run_start(scenario: &Scenario) -> io::Result<Platform> {
@@ -447,30 +460,9 @@ pub fn single_run_start(scenario: &Scenario) -> io::Result<Platform> {
         .into_iter()
         .next()
         .expect("a scenario always expands to at least one variant");
-    let cfg = variant.cfg.clone().with_seed(scenario.sweep.base_seed);
-    let mut platform = Platform::new(cfg).with_series_recording(scenario.outputs.series);
-    if scenario.outputs.aggregate {
-        platform = platform.with_report_mode(ReportMode::Aggregate);
-    }
-    match scenario
-        .outputs
-        .aggregate
-        .then(|| scenario.workload.streamable(&variant.modifier))
-        .flatten()
-    {
-        Some((gen_cfg, seed)) => {
-            let count = gen_cfg.count as u64;
-            let subs = GeneratedChunks::new(&gen_cfg, seed, DEFAULT_CHUNK).submissions();
-            platform
-                .stream_workload(count, subs)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        }
-        None => {
-            let workload = scenario.workload.materialize(&variant.modifier)?;
-            platform.enqueue_workload(&workload);
-        }
-    }
-    Ok(platform)
+    let input = resolve_input(scenario, &variant.modifier)?;
+    let cfg = variant.cfg.with_seed(scenario.sweep.base_seed);
+    Ok(deploy(cfg, &scenario.outputs, input))
 }
 
 /// Resumes the [`single_run_start`] run from a checkpoint. Streaming

@@ -135,7 +135,8 @@ proptest! {
         let mut platform = Platform::new(cfg);
         platform.enqueue_workload(&workload);
         while platform.step() {
-            // Invariant: pool never exceeds its capacity.
+            // Invariant: pool never exceeds its capacity, checked at
+            // every instant boundary (`step` advances one instant).
             prop_assert!(platform.pool().active_count() <= 6);
         }
         let pool_active = platform.pool().active_count();
