@@ -28,9 +28,9 @@
 //! `--single` runs it uninterrupted and writes its `RunReport`;
 //! `--checkpoint FILE --checkpoint-at SECS` stops at the first event
 //! due after SECS, snapshots the complete engine state to FILE and
-//! exits; `--resume FILE` restores and runs to completion. The
-//! resumed report is byte-identical to the `--single` one — CI `cmp`s
-//! them.
+//! exits; `--resume FILE` restores, audits the restored fabric (exit 2
+//! on a violation) and runs to completion. The resumed report is
+//! byte-identical to the `--single` one — CI `cmp`s them.
 
 use meryn_bench::{
     bench_scenario, catalog, run_scenario, single_run_resume, single_run_start, Scenario,
@@ -198,6 +198,13 @@ fn main() {
             }
         };
         let mut platform = single_run_resume(&scenario, cp);
+        // Fail closed: a checkpoint that parses but breaks the fabric's
+        // invariants (one written by an older build that kept
+        // terminated VMs, say) would silently miscount capacity.
+        if let Err(e) = platform.audit_invariants() {
+            eprintln!("error: {cp_path} fails the restore audit: {e}");
+            std::process::exit(2);
+        }
         platform.run_to_completion();
         let report = platform.finalize();
         write_run_report(&report, json_path.as_deref(), quiet);

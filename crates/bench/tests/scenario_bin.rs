@@ -1,7 +1,7 @@
-//! Drives the `scenario` binary's failure paths: a missing, truncated
-//! or corrupt checkpoint handed to `--resume`, or an output path that
-//! cannot be written, must produce a clear diagnostic and exit code 2 —
-//! never a panic backtrace.
+//! Drives the `scenario` binary's failure paths: a missing, truncated,
+//! corrupt or invariant-breaking checkpoint handed to `--resume`, or an
+//! output path that cannot be written, must produce a clear diagnostic
+//! and exit code 2 — never a panic backtrace.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -154,4 +154,51 @@ fn emit_shipped_into_missing_dir_exits_2_with_diagnostic() {
         "diagnostic names the failure and path: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "no panic text: {stderr}");
+}
+
+/// A checkpoint that parses but stores a terminated VM in the pool's
+/// live table — what a checkpoint from a build that kept every VM ever
+/// created looks like — must fail the restore audit with exit 2, not
+/// resume with a miscounted capacity.
+#[test]
+fn resume_from_checkpoint_with_terminated_vm_exits_2_with_diagnostic() {
+    let spec = spec_path("terminated-vm");
+    let cp = spec.with_file_name("terminated-vm-checkpoint.json");
+    let out = scenario_bin()
+        .arg(&spec)
+        .arg("--checkpoint")
+        .arg(&cp)
+        .args(["--checkpoint-at", "600", "--quiet"])
+        .output()
+        .expect("spawn scenario bin");
+    assert_eq!(out.status.code(), Some(0), "fresh checkpoint is written");
+    let json = std::fs::read_to_string(&cp).expect("read checkpoint");
+    let fabric = json.find("\"fabric\":").expect("checkpoint has a fabric");
+    let pool = fabric + json[fabric..].find("\"pool\":").expect("fabric has a pool");
+    let vms = pool + json[pool..].find("\"vms\":{").expect("pool has a VM table") + 7;
+    let dead = "\"999999\":{\"id\":999999,\"spec\":{\"cpus\":2,\"memory_mb\":3840},\
+                \"image\":0,\"location\":\"Private\",\"node\":0,\"speed\":1.0,\
+                \"state\":{\"Terminated\":{\"at\":0}}},";
+    assert!(
+        !json[vms..].starts_with('}'),
+        "the pool holds live VMs at t=600"
+    );
+    std::fs::write(&cp, format!("{}{dead}{}", &json[..vms], &json[vms..])).expect("inject");
+    let out = scenario_bin()
+        .arg(spec)
+        .arg("--resume")
+        .arg(&cp)
+        .output()
+        .expect("spawn scenario bin");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "terminated VM → exit 2: {stderr}"
+    );
+    assert!(
+        stderr.contains("fails the restore audit") && stderr.contains("terminated VM"),
+        "diagnostic names the failure: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 }

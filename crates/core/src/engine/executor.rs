@@ -516,9 +516,8 @@ impl Platform {
     }
 
     /// Audits the shared fabric's conservation invariants (see
-    /// [`SharedFabric::audit_invariants`]): active-VM counters
-    /// recounted against VM states, busy counters bounded by active
-    /// ones. `Err` carries the first violated invariant. Call at
+    /// [`SharedFabric::audit_invariants`]): only live VMs stored,
+    /// within capacity, busy counters bounded by active ones. `Err` carries the first violated invariant. Call at
     /// quiescent points — after a restore, after the queues drain —
     /// where any violation means a snapshot or state-machine bug rather
     /// than a mid-event transient.

@@ -279,11 +279,11 @@ impl SharedFabric {
         (self.busy_private, self.busy_cloud)
     }
 
-    /// Audits the fabric's conservation invariants, promoting the hot
-    /// path's `debug_assert`s to release-mode checks: the pool and
-    /// every cloud recount their active counters against VM states,
-    /// and the busy counters (VMs doing work) can't exceed the VMs
-    /// holding resources. Meant for quiescent points — after a restore,
+    /// Audits the fabric's conservation invariants in release builds:
+    /// the pool and every cloud store only live VMs within capacity
+    /// (the pool's node allocations matching them), and the busy
+    /// counters (VMs doing work) can't exceed the VMs holding
+    /// resources. Meant for quiescent points — after a restore,
     /// after a run drains — where any violation means a state-machine
     /// or snapshot bug, not a transient.
     pub fn audit_invariants(&self) -> Result<(), String> {

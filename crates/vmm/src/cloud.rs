@@ -114,6 +114,15 @@ pub struct LeaseClose {
     pub cost: Money,
 }
 
+/// A live lease: the VM, the rate locked when the lease began, and the
+/// instant provisioning completed (`None` while still provisioning).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Lease {
+    vm: Vm,
+    rate: VmRate,
+    started: Option<SimTime>,
+}
+
 /// A public IaaS cloud.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PublicCloud {
@@ -121,9 +130,9 @@ pub struct PublicCloud {
     pub id: CloudId,
     name: String,
     tag: HostTag,
-    vms: BTreeMap<VmId, Vm>,
-    lease_rates: BTreeMap<VmId, VmRate>,
-    lease_started: BTreeMap<VmId, SimTime>,
+    /// The live leases: a VM leaves the table the moment it terminates,
+    /// so its size is the active count.
+    vms: BTreeMap<VmId, Lease>,
     serial: u64,
     price: PriceModel,
     provision: LatencyModel,
@@ -131,11 +140,6 @@ pub struct PublicCloud {
     speed: f64,
     quota: Option<u64>,
     staged: BTreeSet<ImageId>,
-    /// Leases currently holding resources; maintained as a counter
-    /// because `vms` is append-only history and `can_lease` runs on the
-    /// placement hot path for every arrival. No serde default: a
-    /// snapshot missing the field must fail loudly, not desync.
-    active: u64,
     /// Serialized with the cloud so a restored checkpoint resumes its
     /// latency stream exactly where the snapshot left it.
     rng: SimRng,
@@ -181,8 +185,6 @@ impl PublicCloud {
             // Host tags 1.. belong to clouds (0 is the private pool).
             tag: HostTag(id.0 + 1),
             vms: BTreeMap::new(),
-            lease_rates: BTreeMap::new(),
-            lease_started: BTreeMap::new(),
             serial: 0,
             price,
             provision,
@@ -190,7 +192,6 @@ impl PublicCloud {
             speed,
             quota,
             staged: BTreeSet::new(),
-            active: 0,
             rng,
             outages: Vec::new(),
             rejection_prob: 0.0,
@@ -298,51 +299,45 @@ impl PublicCloud {
 
     /// VMs currently holding resources here.
     pub fn active_count(&self) -> u64 {
-        debug_assert_eq!(
-            self.active,
-            self.vms
-                .values()
-                .filter(|v| v.state().holds_resources())
-                .count() as u64,
-            "active counter out of sync"
-        );
-        self.active
+        self.vms.len() as u64
     }
 
     /// VMs currently usable.
     pub fn running_count(&self) -> u64 {
-        self.vms.values().filter(|v| v.is_running()).count() as u64
+        self.vms.values().filter(|l| l.vm.is_running()).count() as u64
     }
 
-    /// Looks a VM up.
+    /// Looks a live VM up; a terminated VM is gone.
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
-        self.vms.get(&id)
+        self.vms.get(&id).map(|l| &l.vm)
     }
 
-    /// Recounts the `active` counter against actual VM states and the
-    /// lease quota. [`PublicCloud::active_count`] runs the same recount
-    /// as a `debug_assert` on the hot path; this promotes it to a
-    /// `Result` so checkpoint/restore tests can audit a restored cloud
-    /// in release builds too.
+    /// Iterates over the live VMs in id order.
+    pub fn vms(&self) -> impl Iterator<Item = &Vm> {
+        self.vms.values().map(|l| &l.vm)
+    }
+
+    fn lease_mut(&mut self, id: VmId) -> Result<&mut Lease, VmmError> {
+        self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))
+    }
+
+    /// Audits the live table against the lease quota: no stored VM is
+    /// terminated and the table fits the quota. A `Result` so
+    /// checkpoint/restore tests and `--resume` can audit a restored
+    /// cloud in release builds too.
     pub fn audit(&self) -> Result<(), String> {
-        let counted = self
-            .vms
-            .values()
-            .filter(|v| v.state().holds_resources())
-            .count() as u64;
-        if counted != self.active {
+        if let Some(l) = self.vms.values().find(|l| !l.vm.state().holds_resources()) {
             return Err(format!(
-                "cloud {} active counter desynced: counter {} vs {counted} VMs holding resources",
-                self.name, self.active
+                "cloud {} stores terminated VM {}",
+                self.name, l.vm.id
             ));
         }
-        if let Some(q) = self.quota {
-            if self.active > q {
-                return Err(format!(
-                    "cloud {} over quota: {} active VMs on a quota of {q}",
-                    self.name, self.active
-                ));
-            }
+        if let Some(q) = self.quota.filter(|&q| self.active_count() > q) {
+            return Err(format!(
+                "cloud {} over quota: {} live VMs on a quota of {q}",
+                self.name,
+                self.active_count()
+            ));
         }
         Ok(())
     }
@@ -376,78 +371,59 @@ impl PublicCloud {
             self.speed,
             now,
         );
-        self.vms.insert(id, vm);
-        self.active += 1;
         let rate = self.price.rate_at(now);
-        self.lease_rates.insert(id, rate);
+        self.vms.insert(
+            id,
+            Lease {
+                vm,
+                rate,
+                started: None,
+            },
+        );
         Ok((id, self.provision.sample(&mut self.rng), rate))
     }
 
     /// Completes provisioning; the VM is usable (and billable) from `now`.
     pub fn complete_lease(&mut self, id: VmId, now: SimTime) -> Result<(), VmmError> {
-        self.vms
-            .get_mut(&id)
-            .ok_or(VmmError::UnknownVm(id))?
-            .complete_start(now)?;
-        self.lease_started.insert(id, now);
+        let lease = self.lease_mut(id)?;
+        lease.vm.complete_start(now)?;
+        lease.started = Some(now);
         Ok(())
     }
 
     /// Begins releasing a leased VM; returns the stop duration.
     pub fn begin_release(&mut self, id: VmId, now: SimTime) -> Result<SimDuration, VmmError> {
-        self.vms
-            .get_mut(&id)
-            .ok_or(VmmError::UnknownVm(id))?
-            .begin_stop(now)?;
+        self.lease_mut(id)?.vm.begin_stop(now)?;
         Ok(self.stop.sample(&mut self.rng))
     }
 
     /// Completes a release and closes the lease, returning what it cost.
     pub fn complete_release(&mut self, id: VmId, now: SimTime) -> Result<LeaseClose, VmmError> {
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.complete_stop(now)?;
-        self.active -= 1;
-        let rate = self
-            .lease_rates
-            .remove(&id)
-            .expect("leased VM must have a locked rate");
-        let started = self
-            .lease_started
-            .remove(&id)
-            .expect("released VM must have completed provisioning");
-        let running_for = now.since(started);
-        Ok(LeaseClose {
-            vm: id,
-            running_for,
-            rate,
-            cost: rate.cost_for(running_for),
-        })
+        self.lease_mut(id)?.vm.complete_stop(now)?;
+        Ok(self.close(id, now))
     }
 
     /// Crashes a leased VM at `now`, force-closing its lease: no
     /// `Stopping` interval, no stop-latency draw, billed through the
     /// crash instant at the locked rate. A lease crashed while still
     /// provisioning never became billable and closes at zero cost. The
-    /// `active` counter stays conserved ([`PublicCloud::audit`] holds).
+    /// VM leaves the table as on release ([`PublicCloud::audit`] holds).
     pub fn crash_lease(&mut self, id: VmId, now: SimTime) -> Result<LeaseClose, VmmError> {
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.crash(now)?;
-        self.active -= 1;
-        let rate = self
-            .lease_rates
-            .remove(&id)
-            .expect("leased VM must have a locked rate");
-        // Crashed before provisioning completed → never billable.
-        let running_for = match self.lease_started.remove(&id) {
-            Some(started) => now.since(started),
-            None => SimDuration::ZERO,
-        };
-        Ok(LeaseClose {
+        self.lease_mut(id)?.vm.crash(now)?;
+        Ok(self.close(id, now))
+    }
+
+    /// Evicts a just-terminated lease and bills it from provisioning
+    /// completion to `now` (nothing if provisioning never completed).
+    fn close(&mut self, id: VmId, now: SimTime) -> LeaseClose {
+        let Lease { rate, started, .. } = self.vms.remove(&id).expect("closed lease is live");
+        let running_for = started.map_or(SimDuration::ZERO, |s| now.since(s));
+        LeaseClose {
             vm: id,
             running_for,
             rate,
             cost: rate.cost_for(running_for),
-        })
+        }
     }
 }
 
@@ -598,10 +574,33 @@ mod tests {
         assert_eq!(close.running_for, SimDuration::from_secs(300));
         assert_eq!(close.cost, rate.cost_for(SimDuration::from_secs(300)));
         assert_eq!(c.active_count(), 0);
-        c.audit().expect("crash keeps the active counter conserved");
+        c.audit().expect("a crashed lease leaves the table");
         // Crashing again (or releasing) a dead lease fails.
         assert!(c.crash_lease(id, SimTime::from_secs(351)).is_err());
         assert!(c.begin_release(id, SimTime::from_secs(351)).is_err());
+    }
+
+    #[test]
+    fn closed_leases_leave_the_table() {
+        let mut c = cloud(None);
+        let (released, _, _) = c
+            .begin_lease(ImageId(0), VmSpec::EC2_MEDIUM_LIKE, SimTime::ZERO)
+            .unwrap();
+        let (crashed, _, _) = c
+            .begin_lease(ImageId(0), VmSpec::EC2_MEDIUM_LIKE, SimTime::ZERO)
+            .unwrap();
+        c.complete_lease(released, SimTime::from_secs(50)).unwrap();
+        c.begin_release(released, SimTime::from_secs(100)).unwrap();
+        let t = SimTime::from_secs(110);
+        c.complete_release(released, t).unwrap();
+        c.crash_lease(crashed, t).unwrap();
+        for id in [released, crashed] {
+            assert!(c.vm(id).is_none(), "a terminated lease leaves the table");
+            assert_eq!(c.complete_release(id, t), Err(VmmError::UnknownVm(id)));
+            assert_eq!(c.crash_lease(id, t), Err(VmmError::UnknownVm(id)));
+        }
+        assert_eq!(c.active_count(), 0);
+        c.audit().unwrap();
     }
 
     #[test]

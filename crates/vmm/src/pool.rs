@@ -23,6 +23,8 @@ use crate::vm::Vm;
 pub struct PrivatePool {
     tag: HostTag,
     nodes: Vec<Node>,
+    /// The live VMs (starting, running or stopping): a VM leaves the
+    /// table the moment it terminates, so its size is the active count.
     vms: BTreeMap<VmId, Vm>,
     serial: u64,
     spec: VmSpec,
@@ -30,14 +32,6 @@ pub struct PrivatePool {
     boot: LatencyModel,
     stop: LatencyModel,
     speed: f64,
-    /// VMs currently holding resources. The `vms` map is append-only
-    /// (terminated VMs stay queryable), so this is maintained as a
-    /// counter rather than recounted — `active_count` sits on the
-    /// admission/transfer hot path and a scan would grow with the
-    /// *history* of transfers, not the live estate. Serialized like any
-    /// other field (no default): a snapshot missing it predates the
-    /// counter and must fail loudly rather than deserialize desynced.
-    active: u64,
     /// Serialized with the pool so a restored checkpoint resumes its
     /// jitter stream exactly where the snapshot left it.
     rng: SimRng,
@@ -67,7 +61,6 @@ impl PrivatePool {
             boot,
             stop,
             speed,
-            active: 0,
             rng,
         }
     }
@@ -110,15 +103,7 @@ impl PrivatePool {
 
     /// VMs currently holding resources (starting, running or stopping).
     pub fn active_count(&self) -> u64 {
-        debug_assert_eq!(
-            self.active,
-            self.vms
-                .values()
-                .filter(|v| v.state().holds_resources())
-                .count() as u64,
-            "active counter out of sync"
-        );
-        self.active
+        self.vms.len() as u64
     }
 
     /// VMs currently usable by frameworks.
@@ -131,12 +116,12 @@ impl PrivatePool {
         self.capacity() - self.active_count()
     }
 
-    /// Looks a VM up.
+    /// Looks a live VM up; a terminated VM is gone.
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
         self.vms.get(&id)
     }
 
-    /// Iterates over all VMs (terminated included) in id order.
+    /// Iterates over the live VMs in id order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
         self.vms.values()
     }
@@ -173,7 +158,6 @@ impl PrivatePool {
             now,
         );
         self.vms.insert(id, vm);
-        self.active += 1;
         Ok((id, self.boot.sample(&mut self.rng)))
     }
 
@@ -194,69 +178,80 @@ impl PrivatePool {
         Ok(self.stop.sample(&mut self.rng))
     }
 
-    /// Recounts the `active` counter against actual VM states and the
-    /// hosting capacity. [`PrivatePool::active_count`] runs the same
-    /// recount as a `debug_assert` on the hot path; this promotes it to
-    /// a `Result` so checkpoint/restore tests can audit a restored pool
-    /// in release builds too.
+    /// Audits the live table against the hosting capacity and the
+    /// nodes: no stored VM is terminated, the table fits the capacity,
+    /// and each node's allocation is exactly the VMs placed on it. A
+    /// `Result` so checkpoint/restore tests and `--resume` can audit a
+    /// restored pool in release builds too.
     pub fn audit(&self) -> Result<(), String> {
-        let counted = self
-            .vms
-            .values()
-            .filter(|v| v.state().holds_resources())
-            .count() as u64;
-        if counted != self.active {
+        let mut hosted = vec![0u32; self.nodes.len()];
+        for vm in self.vms.values() {
+            if !vm.state().holds_resources() {
+                return Err(format!("private pool stores terminated VM {}", vm.id));
+            }
+            let slot = vm
+                .node
+                .and_then(|n| self.nodes.iter().position(|node| node.id == n))
+                .ok_or_else(|| format!("private VM {} sits on no pool node", vm.id))?;
+            hosted[slot] += 1;
+        }
+        let (live, capacity) = (self.active_count(), self.capacity());
+        if live > capacity {
             return Err(format!(
-                "private pool active counter desynced: counter {} vs {counted} VMs holding resources",
-                self.active
+                "private pool over capacity: {live} live VMs on {capacity} slots"
             ));
         }
-        let capacity = self.capacity();
-        if self.active > capacity {
-            return Err(format!(
-                "private pool over capacity: {} active VMs on {capacity} slots",
-                self.active
-            ));
+        for (node, n) in self.nodes.iter().zip(hosted) {
+            if node.used_cores() != n * self.spec.cpus
+                || node.used_memory_mb() != n * self.spec.memory_mb
+            {
+                return Err(format!(
+                    "private node {:?} allocation desynced: {} cores / {} MiB for {n} VMs",
+                    node.id,
+                    node.used_cores(),
+                    node.used_memory_mb()
+                ));
+            }
         }
         Ok(())
     }
 
-    /// Completes a shutdown, releasing the VM's node resources.
+    /// Completes a shutdown and evicts the VM, releasing its node
+    /// resources.
     pub fn complete_stop(&mut self, id: VmId, now: SimTime) -> Result<(), VmmError> {
-        let spec = self.spec;
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.complete_stop(now)?;
-        let node_id = vm.node.expect("private VM must sit on a node");
-        let node = self
-            .nodes
-            .iter_mut()
-            .find(|n| n.id == node_id)
-            .expect("VM's node must exist");
-        node.release(spec);
-        self.active -= 1;
+        self.vms
+            .get_mut(&id)
+            .ok_or(VmmError::UnknownVm(id))?
+            .complete_stop(now)?;
+        self.evict(id);
         Ok(())
     }
 
     /// Crashes a starting/running VM at `now`: the fault-plane path.
-    /// Resources release immediately (no `Stopping` interval, no stop
-    /// latency draw — the RNG stream is untouched, so fault-free
-    /// trajectories are byte-identical whether or not this method
-    /// exists). The `active` counter and node allocation stay conserved
-    /// exactly as in [`PrivatePool::complete_stop`], so
-    /// [`PrivatePool::audit`] holds across crashes.
+    /// The VM is evicted and its resources release immediately (no
+    /// `Stopping` interval, no stop latency draw — the RNG stream is
+    /// untouched, so fault-free trajectories are byte-identical whether
+    /// or not this method exists), exactly as in
+    /// [`PrivatePool::complete_stop`], so [`PrivatePool::audit`] holds
+    /// across crashes.
     pub fn crash_vm(&mut self, id: VmId, now: SimTime) -> Result<(), VmmError> {
-        let spec = self.spec;
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.crash(now)?;
+        self.vms
+            .get_mut(&id)
+            .ok_or(VmmError::UnknownVm(id))?
+            .crash(now)?;
+        self.evict(id);
+        Ok(())
+    }
+
+    /// Removes a just-terminated VM and frees its node slot.
+    fn evict(&mut self, id: VmId) {
+        let vm = self.vms.remove(&id).expect("evicted VM is stored");
         let node_id = vm.node.expect("private VM must sit on a node");
-        let node = self
-            .nodes
+        self.nodes
             .iter_mut()
             .find(|n| n.id == node_id)
-            .expect("VM's node must exist");
-        node.release(spec);
-        self.active -= 1;
-        Ok(())
+            .expect("VM's node must exist")
+            .release(self.spec);
     }
 }
 
@@ -306,10 +301,14 @@ mod tests {
         let stop = p.begin_stop(id, SimTime::from_secs(100)).unwrap();
         assert!(stop >= SimDuration::from_secs(5) && stop <= SimDuration::from_secs(10));
         assert_eq!(p.available(), 1, "stopping VM still holds its slot");
-        p.complete_stop(id, SimTime::from_secs(100) + stop).unwrap();
+        let done = SimTime::from_secs(100) + stop;
+        p.complete_stop(id, done).unwrap();
         assert_eq!(p.active_count(), 0);
         assert_eq!(p.available(), 2);
-        assert!(!p.vm(id).unwrap().state().holds_resources());
+        assert!(p.vm(id).is_none(), "a terminated VM leaves the table");
+        assert_eq!(p.complete_stop(id, done), Err(VmmError::UnknownVm(id)));
+        assert_eq!(p.crash_vm(id, done), Err(VmmError::UnknownVm(id)));
+        p.audit().unwrap();
     }
 
     #[test]
@@ -366,14 +365,29 @@ mod tests {
         p.crash_vm(id, SimTime::from_secs(60)).unwrap();
         assert_eq!(p.active_count(), 0);
         assert_eq!(p.available(), 2, "crash releases the slot immediately");
-        assert!(!p.vm(id).unwrap().state().holds_resources());
-        p.audit().expect("crash keeps the active counter conserved");
-        // A crashed VM cannot be crashed or stopped again.
-        assert!(p.crash_vm(id, SimTime::from_secs(61)).is_err());
-        assert!(p.begin_stop(id, SimTime::from_secs(61)).is_err());
+        assert!(p.vm(id).is_none(), "a crashed VM leaves the table");
+        p.audit()
+            .expect("crash keeps the node allocation conserved");
+        // A crashed VM is gone: crashing or stopping it again fails.
+        let later = SimTime::from_secs(61);
+        assert_eq!(p.crash_vm(id, later), Err(VmmError::UnknownVm(id)));
+        assert_eq!(p.complete_stop(id, later), Err(VmmError::UnknownVm(id)));
+        assert_eq!(p.begin_stop(id, later), Err(VmmError::UnknownVm(id)));
         // The freed slot is reusable.
         p.begin_start(ImageId(0), SimTime::from_secs(62)).unwrap();
         p.audit().unwrap();
+    }
+
+    #[test]
+    fn audit_rejects_a_stored_terminated_vm() {
+        let mut p = pool(2);
+        let (id, boot) = p.begin_start(ImageId(0), SimTime::ZERO).unwrap();
+        p.complete_start(id, SimTime::ZERO + boot).unwrap();
+        let mut dead = p.vm(id).unwrap().clone();
+        dead.crash(SimTime::from_secs(60)).unwrap();
+        p.vms.insert(id, dead);
+        let err = p.audit().unwrap_err();
+        assert!(err.contains("terminated VM"), "{err}");
     }
 
     #[test]

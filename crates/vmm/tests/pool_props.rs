@@ -1,5 +1,6 @@
-//! Property tests for the private pool: capacity is never exceeded and
-//! slots are conserved under arbitrary start/stop interleavings.
+//! Property tests for the private pool: capacity is never exceeded,
+//! slots are conserved and only live VMs are stored under arbitrary
+//! start/stop interleavings.
 
 use meryn_sim::{SimRng, SimTime};
 use meryn_vmm::{ImageId, LatencyModel, PrivatePool, VmId, VmSpec, VmmError};
@@ -78,6 +79,10 @@ proptest! {
                 starting.len() + running.len() + stopping.len()
             );
             prop_assert_eq!(pool.running_count() as usize, running.len());
+            // Only live VMs are stored: the table is the active set.
+            prop_assert_eq!(pool.vms().count() as u64, pool.active_count());
+            prop_assert!(pool.vms().all(|vm| vm.state().holds_resources()));
+            prop_assert_eq!(pool.audit(), Ok(()));
         }
     }
 

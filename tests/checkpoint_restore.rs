@@ -130,6 +130,23 @@ fn streamed_arrivals_match_the_batch_enqueued_run() {
     assert_eq!(streamed, batch, "streaming must not change the trajectory");
 }
 
+/// Asserts that the pool and every cloud store exactly their live VMs,
+/// within capacity. Returns whether any table has evicted a VM: ids are
+/// issued sequentially from 0, so a live id at or past the live count
+/// means an earlier VM was stopped or released.
+fn assert_tables_hold_live_vms(platform: &Platform) -> bool {
+    let pool = platform.pool();
+    assert_eq!(pool.vms().count() as u64, pool.active_count());
+    assert!(pool.active_count() <= pool.capacity());
+    let gap = |ids: Vec<u64>| ids.iter().any(|&serial| serial >= ids.len() as u64);
+    let mut evicted = gap(pool.vms().map(|vm| vm.id.serial()).collect());
+    for cloud in platform.clouds() {
+        assert_eq!(cloud.vms().count() as u64, cloud.active_count());
+        evicted |= gap(cloud.vms().map(|vm| vm.id.serial()).collect());
+    }
+    evicted
+}
+
 #[test]
 fn streaming_checkpoint_resumes_mid_stream() {
     let s = trimmed_hyperscale_ci(600);
@@ -140,6 +157,10 @@ fn streaming_checkpoint_resumes_mid_stream() {
     // the thick of the stream, with arrivals still unconsumed.
     let mut platform = single_run_start(&s).unwrap();
     platform.run_until(SimTime::from_secs(3_000));
+    assert!(
+        assert_tables_hold_live_vms(&platform),
+        "the run must have stopped or released a VM by the checkpoint"
+    );
     let json = serde_json::to_string(&platform.checkpoint()).unwrap();
     let cp: EngineCheckpoint = serde_json::from_str(&json).unwrap();
     assert!(
@@ -150,6 +171,7 @@ fn streaming_checkpoint_resumes_mid_stream() {
     resumed
         .audit_invariants()
         .expect("restored fabric passes the conservation audit");
+    assert!(assert_tables_hold_live_vms(&resumed));
     resumed.run_to_completion();
     resumed
         .audit_invariants()
