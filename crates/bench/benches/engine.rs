@@ -3,9 +3,9 @@
 //! full platform).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use meryn_bench::spec::{WorkloadModifier, WorkloadSpec};
-use meryn_bench::{catalog, run_paper};
 use meryn_core::Platform;
+use meryn_scenario::spec::{WorkloadModifier, WorkloadSpec};
+use meryn_scenario::{catalog, run_paper};
 use meryn_sim::{EventQueue, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {

@@ -1,7 +1,11 @@
-//! Runs any declarative scenario spec file (`scenarios/*.json`).
+//! Runs any declarative scenario spec file (`scenarios/*.json`) or
+//! catalog entry: the one front end for every figure, table and
+//! ablation of the evaluation.
 //!
 //! ```text
 //! cargo run --release -p meryn-bench --bin scenario -- scenarios/paper.json
+//! cargo run --release -p meryn-bench --bin scenario -- scenarios/fig5.json
+//! cargo run --release -p meryn-bench --bin scenario -- --catalog sweep --quiet --json sweep.json
 //! cargo run --release -p meryn-bench --bin scenario -- scenarios/paper.json --json out.json
 //! cargo run --release -p meryn-bench --bin scenario -- scenarios/representative-datacenter.json --bench
 //! cargo run --release -p meryn-bench --bin scenario -- --catalog hyperscale --bench
@@ -21,21 +25,24 @@
 //! spec files from the `meryn_scenario::catalog` source of truth
 //! instead of running one. `--catalog NAME` loads a catalog entry by
 //! name instead of a file — the only way to reach the unshipped full
-//! `hyperscale` spec.
+//! `hyperscale` and 1200-replica `sweep` specs.
 //!
 //! The checkpoint workflow operates on the scenario's base-seed
 //! first-variant run (see `meryn_scenario::single_run_start`):
 //! `--single` runs it uninterrupted and writes its `RunReport`;
 //! `--checkpoint FILE --checkpoint-at SECS` stops at the first event
 //! due after SECS, snapshots the complete engine state to FILE and
-//! exits; `--resume FILE` restores, audits the restored fabric (exit 2
-//! on a violation) and runs to completion. The resumed report is
-//! byte-identical to the `--single` one — CI `cmp`s them.
+//! exits; `--resume FILE` restores, audits the restored fabric and runs
+//! to completion. It exits 2 on an audit violation, or when a streaming
+//! checkpoint meets a spec whose workload is not `Generated`. The
+//! resumed report is byte-identical to the `--single` one — CI `cmp`s
+//! them.
 
-use meryn_bench::{
+use meryn_core::EngineCheckpoint;
+use meryn_scenario::spec::WorkloadSpec;
+use meryn_scenario::{
     bench_scenario, catalog, run_scenario, single_run_resume, single_run_start, Scenario,
 };
-use meryn_core::EngineCheckpoint;
 use meryn_sim::SimTime;
 
 fn usage() -> ! {
@@ -197,6 +204,17 @@ fn main() {
                 std::process::exit(2);
             }
         };
+        // Fail closed: a streaming checkpoint carries only the arrival
+        // cursor and re-derives the rest from the spec's generator, so
+        // it cannot resume against any other workload kind.
+        if cp.needs_workload() && !matches!(scenario.workload, WorkloadSpec::Generated { .. }) {
+            eprintln!(
+                "error: {cp_path} streams its arrivals from a Generated workload, but \
+                 scenario {} has none; resume it with the spec it was taken from",
+                scenario.name
+            );
+            std::process::exit(2);
+        }
         let mut platform = single_run_resume(&scenario, cp);
         // Fail closed: a checkpoint that parses but breaks the fabric's
         // invariants (one written by an older build that kept

@@ -19,7 +19,7 @@
 //! leaves print `a → b (Δ)`; structural mismatches (missing keys,
 //! different lengths or kinds) are reported at their JSON path.
 
-use meryn_bench::{catalog, run_scenario};
+use meryn_scenario::{catalog, run_scenario};
 use serde_json::Value;
 
 fn usage() -> ! {

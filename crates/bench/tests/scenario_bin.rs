@@ -1,8 +1,9 @@
 //! Drives the `scenario` binary's failure paths: a missing, truncated,
-//! corrupt or invariant-breaking checkpoint handed to `--resume`, or an
-//! output path that cannot be written, must produce a clear diagnostic
-//! and exit code 2 — never a panic backtrace.
+//! corrupt, invariant-breaking or workload-mismatched checkpoint handed
+//! to `--resume`, or an output path that cannot be written, must
+//! produce a clear diagnostic and exit code 2 — never a panic backtrace.
 
+use meryn_scenario::spec::WorkloadSpec;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -17,7 +18,7 @@ fn spec_path(stem: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("meryn-scenario-bin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join(format!("{stem}.json"));
-    let (_, scenario) = meryn_bench::catalog::shipped()
+    let (_, scenario) = meryn_scenario::catalog::shipped()
         .into_iter()
         .next()
         .expect("catalog is non-empty");
@@ -199,6 +200,56 @@ fn resume_from_checkpoint_with_terminated_vm_exits_2_with_diagnostic() {
     assert!(
         stderr.contains("fails the restore audit") && stderr.contains("terminated VM"),
         "diagnostic names the failure: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+}
+
+/// A streaming checkpoint (taken from a `Generated` + aggregate spec)
+/// carries only its arrival cursor; resuming it against a spec whose
+/// workload is not `Generated` must exit 2 naming the mismatch, not
+/// panic in the runner.
+#[test]
+fn resume_streaming_checkpoint_against_non_generated_spec_exits_2() {
+    let paper_spec = spec_path("mismatch-paper");
+    let streaming = paper_spec.with_file_name("mismatch-streaming.json");
+    let mut scenario = meryn_scenario::catalog::hyperscale_ci();
+    match &mut scenario.workload {
+        WorkloadSpec::Generated { config, .. } => config.count = 300,
+        other => panic!("hyperscale-ci is Generated, got {other:?}"),
+    }
+    assert!(
+        scenario.outputs.aggregate,
+        "aggregate mode streams arrivals"
+    );
+    scenario.save(&streaming).expect("write spec");
+    let cp = paper_spec.with_file_name("mismatch-checkpoint.json");
+    let out = scenario_bin()
+        .arg(&streaming)
+        .arg("--checkpoint")
+        .arg(&cp)
+        .args(["--checkpoint-at", "1000", "--quiet"])
+        .output()
+        .expect("spawn scenario bin");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "streaming checkpoint is written"
+    );
+    let out = scenario_bin()
+        .arg(&paper_spec)
+        .arg("--resume")
+        .arg(&cp)
+        .output()
+        .expect("spawn scenario bin");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "workload-mismatched resume → exit 2: {stderr}"
+    );
+    assert!(
+        stderr.contains("streams its arrivals from a Generated workload"),
+        "diagnostic names the mismatch: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 }

@@ -6,16 +6,19 @@
 //! workload description, sweep axes and requested outputs; it loads
 //! from and saves to JSON ([`Scenario::load`] / [`Scenario::save`]),
 //! and [`run_scenario`] executes it through the shared replica-sweep
-//! harness with thread-count-independent, byte-stable results.
+//! harness with thread-count-independent, byte-stable results. Every
+//! figure, table and ablation of the evaluation is one [`catalog`]
+//! entry, run by the `scenario` binary and rendered by the one
+//! [`ScenarioReport::render`].
 //!
 //! | module | role |
 //! |---|---|
 //! | [`spec`] | the serde scenario types: [`Scenario`], [`spec::WorkloadSpec`], [`spec::SweepAxis`], [`spec::OutputSpec`] |
 //! | [`runner`] | [`run_scenario`] → [`runner::ScenarioReport`] (+ human rendering) |
 //! | [`bench`] | [`bench_scenario`] → events/sec over a scenario's base runs (`scenario --bench`) |
-//! | [`catalog`] | the shipped specs behind `scenarios/*.json` |
+//! | [`catalog`] | every experiment: the shipped specs behind `scenarios/*.json` plus the catalog-only `hyperscale` and `sweep` |
 //! | [`policies`] | extension policies registered from outside `meryn-core` (e.g. `deadline-aware`) |
-//! | [`sweep`] | seed fanout, parallel map, replica aggregation |
+//! | [`sweep`] | parallel map, replica aggregation, the Table 1 case sweep |
 //! | [`paper`] | the paper's fixed fixtures (65-app run, Table 1 micro-scenarios) |
 //!
 //! ```
@@ -42,7 +45,7 @@ pub mod spec;
 pub mod sweep;
 
 pub use bench::{bench_scenario, BenchReport};
-pub use paper::{measure_case, paper_range, run_paper, run_paper_with, TABLE1_CASES};
+pub use paper::{measure_case, paper_range, run_paper, TABLE1_CASES};
 pub use policies::DeadlineAwarePolicy;
 pub use runner::{run_scenario, single_run_resume, single_run_start, ScenarioReport};
 pub use spec::Scenario;

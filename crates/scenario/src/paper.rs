@@ -1,9 +1,5 @@
 //! The paper's fixed experiment fixtures: the 65-app workload run and
 //! the five Table 1 placement micro-scenarios.
-//!
-//! These used to live in `meryn-bench`; they sit here so both the
-//! declarative [`runner`](crate::runner) and the experiment binaries
-//! share one implementation.
 
 use meryn_core::config::{PlatformConfig, VcConfig};
 use meryn_core::report::RunReport;
@@ -20,12 +16,9 @@ pub fn run_paper(policy: &str, seed: u64) -> RunReport {
     Platform::new(cfg).run(paper_workload(PaperWorkloadParams::default()))
 }
 
-/// Runs an arbitrary config against the paper workload.
-pub fn run_paper_with(cfg: PlatformConfig) -> RunReport {
-    Platform::new(cfg).run(paper_workload(PaperWorkloadParams::default()))
-}
-
-fn batch_sub(at: u64, vc: usize, work: u64) -> Submission {
+/// A 1-VM fixed-work batch submission at `at` s to VC index `vc`,
+/// accepting the cheapest offer.
+pub(crate) fn batch_sub(at: u64, vc: usize, work: u64) -> Submission {
     Submission::new(
         SimTime::from_secs(at),
         VcTarget::Index(vc),

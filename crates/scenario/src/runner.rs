@@ -18,7 +18,7 @@ use meryn_core::config::PlatformConfig;
 use meryn_core::report::{compare, ReportMode, RunReport};
 use meryn_core::{EngineCheckpoint, Platform, VcId};
 use meryn_sim::metrics::SeriesSet;
-use meryn_sim::SimRng;
+use meryn_sim::{SimDuration, SimRng};
 use meryn_workloads::generators::{GeneratedChunks, GeneratorConfig, DEFAULT_CHUNK};
 use meryn_workloads::Submission;
 use serde::Serialize;
@@ -498,7 +498,11 @@ impl ScenarioReport {
         json
     }
 
-    /// Renders the human-readable tables the experiment binaries print.
+    /// Renders the human-readable report the `scenario` binary prints:
+    /// one summary table with every headline column, replica spreads,
+    /// the comparison, Table 1, placements and the used-VM series as
+    /// CSV on a 60 s grid — each section only when the spec requested
+    /// it. The `--json` report carries every number at full precision.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -522,32 +526,46 @@ impl ScenarioReport {
         if self.variants.iter().any(|v| v.base.is_some()) {
             let _ = writeln!(
                 out,
-                "\n{:<label_w$} {:>12} {:>12} {:>10} {:>9} {:>7} {:>9} {:>8} {:>6}",
+                "\n{:<label_w$} {:>10} {:>11} {:>11} {:>9} {:>8} {:>8} {:>9} {:>6} {:>8} {:>6} \
+                 {:>7} {:>5} {:>9} {:>8}",
                 "variant",
                 "completion",
                 "cost [u]",
+                "profit [u]",
+                "penalty",
+                "peak prv",
                 "peak cld",
                 "transfers",
                 "bursts",
                 "suspends",
+                "escal",
                 "violate",
-                "rejct"
+                "rejct",
+                "proc mean",
+                "proc max"
             );
         }
         for v in &self.variants {
             if let Some(base) = &v.base {
                 let _ = writeln!(
                     out,
-                    "{:<label_w$} {:>12.0} {:>12.0} {:>10.0} {:>9} {:>7} {:>9} {:>8} {:>6}",
+                    "{:<label_w$} {:>10.0} {:>11.0} {:>11.0} {:>9.0} {:>8.0} {:>8.0} {:>9} {:>6} \
+                     {:>8} {:>6} {:>7} {:>5} {:>9.1} {:>8.0}",
                     v.label,
                     base.completion_secs,
                     base.total_cost_units,
+                    base.profit_units,
+                    base.penalties_units,
+                    base.peak_private_vms,
                     base.peak_cloud_vms,
                     base.transfers,
                     base.bursts,
                     base.suspensions,
+                    base.escalations,
                     base.violations,
-                    base.rejected
+                    base.rejected,
+                    base.processing_mean_s,
+                    base.processing_max_s
                 );
             }
             if let Some(stats) = &v.replicas {
@@ -614,6 +632,12 @@ impl ScenarioReport {
                 for (case, count) in placements {
                     let _ = writeln!(out, "  {case:<28} {count}");
                 }
+            }
+        }
+        for v in &self.variants {
+            if let Some(series) = &v.series {
+                let _ = writeln!(out, "\nused VMs [{}], 60 s grid:", v.label);
+                out.push_str(&series.to_csv(SimDuration::from_secs(60)));
             }
         }
         out
@@ -702,6 +726,7 @@ mod tests {
         }
         let rendered = report.render();
         assert!(rendered.contains("policy=meryn"));
+        assert!(rendered.contains("profit [u]") && rendered.contains("proc max"));
         assert!(rendered.contains("comparison:"));
     }
 

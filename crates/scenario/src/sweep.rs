@@ -1,16 +1,15 @@
-//! Shared replica-sweep harness for the experiment binaries.
+//! The replica-sweep primitives [`run_scenario`](crate::run_scenario)
+//! is built on.
 //!
-//! Every evaluation binary repeats some unit of work — the full paper
-//! scenario, a Table 1 micro-scenario, a config variant — across many
-//! seeded replicas and aggregates the results. This module is the one
-//! implementation of that loop:
+//! Every scenario repeats some unit of work — a variant's base-seed
+//! run, its seeded replicas, a Table 1 micro-scenario — and aggregates
+//! the results:
 //!
-//! 1. **seed fanout** — [`replica_seeds`] derives one independent RNG
-//!    stream per replica from a base seed (via [`SimRng::stream_seed`]),
-//!    so a replica's randomness depends only on `(base, index)`, never on
-//!    execution order;
+//! 1. **seed fanout** — replica `i` runs with
+//!    `SimRng::stream_seed(base_seed, i)`, a pure function of the pair,
+//!    so a replica's randomness never depends on execution order;
 //! 2. **parallel run** — [`fanout`] maps the work function over the
-//!    replicas through the rayon shim with an order-preserving collect;
+//!    jobs through the rayon shim with an order-preserving collect;
 //! 3. **aggregation** — results are folded **in replica order** into
 //!    [`ReplicaStats`] / [`Summary`], so sequential (`RAYON_NUM_THREADS=1`)
 //!    and multi-threaded sweeps produce byte-identical aggregates
@@ -22,26 +21,14 @@ use meryn_sim::SimRng;
 use rayon::prelude::*;
 use serde::Serialize;
 
-use crate::paper::{measure_case, run_paper};
+use crate::paper::measure_case;
 
-/// Base seed the binaries sweep from unless told otherwise — the same
-/// constant the single-run figures (Fig 5/6) pin their one run to.
+/// Base seed a scenario sweeps from unless its spec says otherwise —
+/// the seed of every shipped spec's headline runs (Fig 5/6 included).
 pub const DEFAULT_BASE_SEED: u64 = 0xC0FFEE;
 
-/// Derives the per-replica seeds `0..replicas` from `base_seed`.
-///
-/// Each replica gets an independent seed-derived RNG stream: replica `i`
-/// simulates with `SimRng::stream_seed(base_seed, i)`, a pure function of
-/// the pair, so any subset of replicas can run on any thread in any order
-/// without perturbing the others.
-pub fn replica_seeds(base_seed: u64, replicas: u64) -> Vec<u64> {
-    (0..replicas)
-        .map(|i| SimRng::stream_seed(base_seed, i))
-        .collect()
-}
-
 /// Runs `work` over `items` in parallel (rayon shim), preserving input
-/// order in the output — the core fanout every binary goes through.
+/// order in the output — the one fanout every scenario run goes through.
 pub fn fanout<T, U, F>(items: Vec<T>, work: F) -> Vec<U>
 where
     T: Send,
@@ -49,23 +36,6 @@ where
     F: Fn(T) -> U + Sync + Send,
 {
     items.into_par_iter().map(work).collect()
-}
-
-/// Seed-fanout: runs `work` once per derived replica seed, in parallel,
-/// results in replica order.
-pub fn fanout_seeds<U, F>(base_seed: u64, replicas: u64, work: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(u64) -> U + Sync + Send,
-{
-    fanout(replica_seeds(base_seed, replicas), work)
-}
-
-/// Runs the full paper scenario once per replica under the named
-/// placement policy, returning the per-replica [`RunReport`]s in
-/// replica order.
-pub fn paper_reports(policy: &str, base_seed: u64, replicas: u64) -> Vec<RunReport> {
-    fanout_seeds(base_seed, replicas, |seed| run_paper(policy, seed))
 }
 
 /// Aggregates of one policy's replica sweep: the four headline metrics
@@ -107,75 +77,19 @@ impl ReplicaStats {
     }
 }
 
-/// Sweeps the paper scenario for one policy: seed fanout, parallel runs,
-/// aggregation in replica order.
-pub fn paper_sweep(policy: &str, base_seed: u64, replicas: u64) -> ReplicaStats {
-    ReplicaStats::from_reports(&paper_reports(policy, base_seed, replicas))
-}
-
 /// Sweeps one Table 1 placement case over `samples` derived seeds and
 /// summarizes the measured processing times [s].
 pub fn case_sweep(case: &str, base_seed: u64, samples: u64) -> Summary {
-    Summary::from_slice(&fanout_seeds(base_seed, samples, |seed| {
-        measure_case(case, seed)
-    }))
-}
-
-/// One policy's row in a machine-readable sweep report.
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepMode {
-    /// Policy label (`meryn` / `static`).
-    pub mode: String,
-    /// Aggregated replica statistics.
-    pub stats: ReplicaStats,
-}
-
-/// The machine-readable output of the `sweep` binary — deterministic for
-/// a given `(base_seed, replicas)` at any thread count, which CI checks
-/// by byte-comparing the sequential and threaded runs.
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepReport {
-    /// Base seed the replica streams were derived from.
-    pub base_seed: u64,
-    /// Number of replicas per policy.
-    pub replicas: u64,
-    /// One entry per policy mode.
-    pub modes: Vec<SweepMode>,
-}
-
-impl SweepReport {
-    /// Sweeps both of the paper's policies (`meryn`, then `static`).
-    pub fn collect_both(base_seed: u64, replicas: u64) -> Self {
-        SweepReport {
-            base_seed,
-            replicas,
-            modes: ["meryn", "static"]
-                .into_iter()
-                .map(|policy| SweepMode {
-                    mode: policy.to_owned(),
-                    stats: paper_sweep(policy, base_seed, replicas),
-                })
-                .collect(),
-        }
-    }
+    let seeds = (0..samples)
+        .map(|i| SimRng::stream_seed(base_seed, i))
+        .collect();
+    Summary::from_slice(&fanout(seeds, |seed| measure_case(case, seed)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn replica_seeds_are_distinct_and_stable() {
-        let a = replica_seeds(DEFAULT_BASE_SEED, 32);
-        let b = replica_seeds(DEFAULT_BASE_SEED, 32);
-        assert_eq!(a, b, "seed derivation must be pure");
-        let mut dedup = a.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 32, "derived seeds must not collide");
-        // Different base: entirely different streams.
-        assert_ne!(a, replica_seeds(DEFAULT_BASE_SEED + 1, 32));
-    }
+    use crate::paper::run_paper;
 
     #[test]
     fn fanout_preserves_order() {
@@ -185,7 +99,10 @@ mod tests {
 
     #[test]
     fn paper_sweep_aggregates_every_replica() {
-        let stats = paper_sweep("meryn", DEFAULT_BASE_SEED, 3);
+        let seeds = (0..3)
+            .map(|i| SimRng::stream_seed(DEFAULT_BASE_SEED, i))
+            .collect();
+        let stats = ReplicaStats::from_reports(&fanout(seeds, |seed| run_paper("meryn", seed)));
         assert_eq!(stats.completion.count(), 3);
         assert!(stats.completion.mean() > 0.0);
         assert_eq!(stats.peak_cloud.count(), 3);

@@ -10,11 +10,11 @@
 //! generated workload through the O(1)-memory streaming path is
 //! byte-identical to enqueueing the materialized vector.
 
-use meryn_bench::spec::{WorkloadModifier, WorkloadSpec};
-use meryn_bench::{catalog, single_run_resume, single_run_start, Scenario};
 use meryn_core::config::{PlatformConfig, VcConfig};
 use meryn_core::report::ReportMode;
 use meryn_core::{EngineCheckpoint, Platform};
+use meryn_scenario::spec::{WorkloadModifier, WorkloadSpec};
+use meryn_scenario::{catalog, single_run_resume, single_run_start, Scenario};
 use meryn_sim::SimTime;
 use meryn_workloads::{paper_workload, PaperWorkloadParams};
 use proptest::prelude::*;

@@ -18,8 +18,8 @@
 //! and put the printed per-scenario delta summary in the PR
 //! description (see `scenarios/README.md` for the re-baseline policy).
 
-use meryn_bench::spec::WorkloadSpec;
-use meryn_bench::{run_scenario, Scenario};
+use meryn_scenario::spec::WorkloadSpec;
+use meryn_scenario::{run_scenario, Scenario};
 use serde_json::Value;
 use std::path::PathBuf;
 
@@ -97,6 +97,54 @@ fn many_vc_reproduces_its_golden() {
 #[test]
 fn chaos_datacenter_reproduces_its_golden() {
     reproduce("chaos-datacenter");
+}
+
+/// Figure 5: the paper's two headline runs with their used-VM series.
+#[test]
+fn fig5_reproduces_its_golden() {
+    reproduce("fig5");
+}
+
+// The eight ablations: each pins every number its report prints.
+
+#[test]
+fn ablation_penalty_reproduces_its_golden() {
+    reproduce("ablation-penalty");
+}
+
+#[test]
+fn ablation_price_ratio_reproduces_its_golden() {
+    reproduce("ablation-price-ratio");
+}
+
+#[test]
+fn ablation_suspension_reproduces_its_golden() {
+    reproduce("ablation-suspension");
+}
+
+#[test]
+fn ablation_load_reproduces_its_golden() {
+    reproduce("ablation-load");
+}
+
+#[test]
+fn ablation_mapreduce_reproduces_its_golden() {
+    reproduce("ablation-mapreduce");
+}
+
+#[test]
+fn ablation_partitioning_reproduces_its_golden() {
+    reproduce("ablation-partitioning");
+}
+
+#[test]
+fn ablation_escalation_reproduces_its_golden() {
+    reproduce("ablation-escalation");
+}
+
+#[test]
+fn ablation_clientmanagers_reproduces_its_golden() {
+    reproduce("ablation-clientmanagers");
 }
 
 /// ~100k submissions over a simulated month: minutes of work without

@@ -6,6 +6,7 @@
 use meryn_core::config::PlatformConfig;
 use meryn_core::report::{compare, RunReport};
 use meryn_core::{Platform, VcId};
+use meryn_scenario::sweep::{case_sweep, DEFAULT_BASE_SEED};
 use meryn_workloads::{paper_workload, PaperWorkloadParams};
 
 fn run(mode: &str) -> RunReport {
@@ -181,6 +182,24 @@ fn table1_processing_times_within_measured_ranges() {
     // Ordering as in Table 1: local < vc < cloud.
     assert!(local.mean() < vc.mean());
     assert!(vc.mean() < cloud.mean());
+}
+
+#[test]
+fn table1_case_means_follow_the_papers_ordering() {
+    // Table 1's ordering, local < local-susp < vc < vc-susp and
+    // vc < cloud, on 30 samples per case from a seed family
+    // independent of the headline sweep's.
+    let mean = |case: &str| case_sweep(case, DEFAULT_BASE_SEED ^ 0x1000, 30).mean();
+    let local = mean("local-vm");
+    let local_susp = mean("local-vm after suspension");
+    let vc = mean("vc-vm");
+    let vc_susp = mean("vc-vm after suspension");
+    let cloud = mean("cloud-vm");
+    assert!(
+        local < local_susp && local_susp < vc && vc < vc_susp,
+        "local {local:.1} < local-susp {local_susp:.1} < vc {vc:.1} < vc-susp {vc_susp:.1}"
+    );
+    assert!(vc < cloud, "vc {vc:.1} < cloud {cloud:.1}");
 }
 
 #[test]

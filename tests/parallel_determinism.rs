@@ -1,11 +1,14 @@
-//! Parallel-determinism guarantees for the shared replica-sweep harness:
-//! sweeping the paper scenario through `meryn_bench::sweep` produces
-//! **byte-identical** serialized results whether the rayon shim runs on
-//! one thread or many, under both policy modes. This is the invariant
-//! that makes threading the evaluation safe — no reported number may
-//! depend on scheduling.
+//! Parallel-determinism guarantees for the replica-sweep harness:
+//! the paper scenario's per-replica reports (fanned out through
+//! `meryn_scenario::sweep::fanout`) and its aggregated `run_scenario`
+//! report are **byte-identical** whether the rayon shim runs on one
+//! thread or many, under both policy modes. This is the invariant that
+//! makes threading the evaluation safe — no reported number may depend
+//! on scheduling.
 
-use meryn_bench::sweep::{self, DEFAULT_BASE_SEED};
+use meryn_scenario::sweep::{self, fanout, DEFAULT_BASE_SEED};
+use meryn_scenario::{catalog, run_paper, run_scenario};
+use meryn_sim::SimRng;
 use rayon::ThreadPoolBuilder;
 
 const REPLICAS: u64 = 4;
@@ -18,19 +21,32 @@ fn at_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
         .install(op)
 }
 
+/// The full paper run of replicas `0..replicas` under `mode`, each on
+/// its derived stream `stream_seed(DEFAULT_BASE_SEED, i)`, in replica
+/// order.
+fn replica_reports(mode: &str, replicas: u64) -> Vec<meryn_core::RunReport> {
+    let seeds = (0..replicas)
+        .map(|i| SimRng::stream_seed(DEFAULT_BASE_SEED, i))
+        .collect();
+    fanout(seeds, |seed| run_paper(mode, seed))
+}
+
 /// Serializes the full per-replica reports of one sweep.
 fn sweep_reports_json(mode: &str, threads: usize) -> String {
     at_threads(threads, || {
-        let reports = sweep::paper_reports(mode, DEFAULT_BASE_SEED, REPLICAS);
-        serde_json::to_string(&reports).expect("reports serialize")
+        serde_json::to_string(&replica_reports(mode, REPLICAS)).expect("reports serialize")
     })
 }
 
-/// Serializes the aggregated sweep statistics of both modes.
+/// The paper scenario's report at [`REPLICAS`] replicas per policy:
+/// headline runs, replica aggregates, comparison and Table 1.
 fn sweep_stats_json(threads: usize) -> String {
+    let mut scenario = catalog::paper();
+    scenario.sweep.replicas = REPLICAS;
     at_threads(threads, || {
-        let report = sweep::SweepReport::collect_both(DEFAULT_BASE_SEED, REPLICAS);
-        serde_json::to_string(&report).expect("sweep report serializes")
+        run_scenario(&scenario)
+            .expect("paper scenario needs no files")
+            .to_json()
     })
 }
 
@@ -62,7 +78,7 @@ fn aggregated_sweep_is_byte_identical_at_any_thread_count() {
 
 #[test]
 fn table1_case_sweep_is_thread_count_independent() {
-    for case in meryn_bench::TABLE1_CASES {
+    for case in meryn_scenario::TABLE1_CASES {
         let sequential = at_threads(1, || sweep::case_sweep(case, DEFAULT_BASE_SEED, 8));
         let threaded = at_threads(8, || sweep::case_sweep(case, DEFAULT_BASE_SEED, 8));
         assert_eq!(
@@ -240,8 +256,8 @@ fn shard_rng_streams_are_independent_across_the_roster() {
 fn replica_streams_are_independent_of_sweep_width() {
     // Replica i's report must not change when the sweep grows: its RNG
     // stream is a pure function of (base, i), not of the replica count.
-    let narrow = sweep::paper_reports("meryn", DEFAULT_BASE_SEED, 2);
-    let wide = sweep::paper_reports("meryn", DEFAULT_BASE_SEED, 4);
+    let narrow = replica_reports("meryn", 2);
+    let wide = replica_reports("meryn", 4);
     for (i, (a, b)) in narrow.iter().zip(&wide).enumerate() {
         assert_eq!(
             serde_json::to_string(a).unwrap(),

@@ -9,7 +9,8 @@
 //!   cost saved 35800 u, Table 1 means — with byte-identical JSON
 //!   reports at 1 and N threads.
 
-use meryn_bench::{catalog, run_scenario, Scenario};
+use meryn_scenario::spec::WorkloadSpec;
+use meryn_scenario::{catalog, run_scenario, Scenario};
 use rayon::ThreadPoolBuilder;
 use serde_json::Value;
 use std::path::PathBuf;
@@ -153,11 +154,13 @@ fn non_paper_specs_run_end_to_end() {
         // are cut down hard — this is a does-it-run check, not a perf
         // run, and debug-mode full runs blow the test budget.
         let expected = match &mut scenario.workload {
-            meryn_bench::spec::WorkloadSpec::Generated { config, .. } => {
+            WorkloadSpec::Generated { config, .. } => {
                 config.count = 500;
                 500
             }
-            _ => 65,
+            WorkloadSpec::Explicit { submissions } => submissions.len(),
+            WorkloadSpec::Paper(p) => p.vc1_apps + p.vc2_apps,
+            WorkloadSpec::TraceFile { path } => panic!("{stem}: trace workload {path}"),
         };
         let report = run_scenario(&scenario).unwrap_or_else(|e| panic!("{stem}: {e}"));
         assert!(!report.variants.is_empty(), "{stem}: no variants");
